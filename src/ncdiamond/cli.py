@@ -48,15 +48,9 @@ from .seriesring import (
 DEFAULT_DEMO_CAP = 8
 
 
-def _emit(doc: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(doc, indent=2))
-    else:
-        print(json.dumps(doc, separators=(",", ":")))
-
-
-def _report(command: str, inputs: dict, verdict: bool, details: dict, seed: int | None) -> dict:
-    return {
+def _finish(args, command: str, inputs: dict, verdict: bool, details: dict, seed: int | None) -> int:
+    """Print the report document and return the exit code of its verdict."""
+    doc = {
         "command": command,
         "inputs": inputs,
         "verdict": verdict,
@@ -64,6 +58,11 @@ def _report(command: str, inputs: dict, verdict: bool, details: dict, seed: int 
         "seed": seed,
         "version": __version__,
     }
+    if args.pretty:
+        print(json.dumps(doc, indent=2))
+    else:
+        print(json.dumps(doc, separators=(",", ":")))
+    return 0 if verdict else 1
 
 
 def _resolve_seed(args) -> int:
@@ -77,10 +76,6 @@ def _resolve_seed(args) -> int:
 def _series_algebra(args) -> FreeAlgebra:
     gens = tuple(args.gens.replace(",", " ").split())
     return FreeAlgebra(Field.parse(args.field), gens)
-
-
-def _scalar_strs(values) -> list[str]:
-    return [str(v) for v in values]
 
 
 # -- command handlers -----------------------------------------------------------
@@ -120,11 +115,9 @@ def _cmd_confluence(args) -> int:
         "ambiguities": ambiguities,
         "overall": report.overall,
     }
-    doc = _report(
-        "confluence", {"presentation": args.presentation}, report.overall, details, None
+    return _finish(
+        args, "confluence", {"presentation": args.presentation}, report.overall, details, None
     )
-    _emit(doc, args.pretty)
-    return 0 if report.overall else 1
 
 
 def _cmd_witness(args) -> int:
@@ -146,9 +139,7 @@ def _cmd_witness(args) -> int:
         "nf_x": str(rep.nf_x),
         "nf_z": str(rep.nf_z),
     }
-    doc = _report("witness", {"presentation": args.presentation}, rep.verdict, details, None)
-    _emit(doc, args.pretty)
-    return 0 if rep.verdict else 1
+    return _finish(args, "witness", {"presentation": args.presentation}, rep.verdict, details, None)
 
 
 def _cmd_identity(args) -> int:
@@ -168,9 +159,7 @@ def _cmd_identity(args) -> int:
         "trials": args.trials,
         "max_deg": args.max_deg,
     }
-    doc = _report("identity", inputs, rep.holds, details, seed)
-    _emit(doc, args.pretty)
-    return 0 if rep.holds else 1
+    return _finish(args, "identity", inputs, rep.holds, details, seed)
 
 
 def _cmd_fuzz_rank(args) -> int:
@@ -188,10 +177,7 @@ def _cmd_fuzz_rank(args) -> int:
         "trials": args.trials,
         "check": args.check,
     }
-    verdict = rep.violations == 0
-    doc = _report("fuzz-rank", inputs, verdict, details, seed)
-    _emit(doc, args.pretty)
-    return 0 if verdict else 1
+    return _finish(args, "fuzz-rank", inputs, rep.violations == 0, details, seed)
 
 
 def _load_assignment(path: str, alg: FreeAlgebra) -> dict[str, ExactMatrix]:
@@ -229,9 +215,7 @@ def _cmd_probe(args) -> int:
     rep = obstruction_probe(pres.system, pres.witness, assignment)
     verdict = rep.margin >= 0 and not rep.regime_feasible
     inputs = {"presentation": args.presentation, "assignment": args.assignment}
-    doc = _report("probe", inputs, verdict, rep.as_dict(), None)
-    _emit(doc, args.pretty)
-    return 0 if verdict else 1
+    return _finish(args, "probe", inputs, verdict, rep.as_dict(), None)
 
 
 def _cmd_series_quasi_inverse(args) -> int:
@@ -255,9 +239,7 @@ def _cmd_series_quasi_inverse(args) -> int:
         "field": str(alg.field),
         "trunc": args.trunc,
     }
-    doc = _report("series quasi-inverse", inputs, verdict, details, None)
-    _emit(doc, args.pretty)
-    return 0 if verdict else 1
+    return _finish(args, "series quasi-inverse", inputs, verdict, details, None)
 
 
 def _cmd_series_sfprobe(args) -> int:
@@ -287,9 +269,7 @@ def _cmd_series_sfprobe(args) -> int:
         "trunc": args.trunc,
         "trials": args.trials,
     }
-    doc = _report("series sfprobe", inputs, verdict, details, seed)
-    _emit(doc, args.pretty)
-    return 0 if verdict else 1
+    return _finish(args, "series sfprobe", inputs, verdict, details, seed)
 
 
 def _builtin_collapse_instance(alg: FreeAlgebra, cap: int) -> tuple[list, list]:
@@ -320,7 +300,7 @@ def _cmd_series_sext_demo(args) -> int:
         "pairs": len(u),
         "u": [str(e) for e in u],
         "v": [str(e) for e in v],
-        "coeffs": _scalar_strs(rep.coeffs),
+        "coeffs": [str(c) for c in rep.coeffs],
         "f": str(rep.f),
         "g": str(rep.g),
         "steps": [
@@ -336,12 +316,27 @@ def _cmd_series_sext_demo(args) -> int:
         "pairs": args.pairs if seed is not None else len(u),
         "random": seed is not None,
     }
-    doc = _report("series sext-demo", inputs, rep.verified, details, seed)
-    _emit(doc, args.pretty)
-    return 0 if rep.verified else 1
+    return _finish(args, "series sext-demo", inputs, rep.verified, details, seed)
 
 
 # -- parser ----------------------------------------------------------------------
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names it in "invalid integer value"
+    return parse
+
+
+_positive = _int_at_least(1)
+_nonnegative = _int_at_least(0)
 
 
 def _add_pretty(p: argparse.ArgumentParser) -> None:
@@ -357,7 +352,7 @@ def _add_series_ring(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gens", default="x y", help="generator names, space or comma separated (default 'x y')")
     p.add_argument(
         "--trunc",
-        type=int,
+        type=_positive,
         default=DEFAULT_DEMO_CAP,
         help=f"series truncation cap (default {DEFAULT_DEMO_CAP})",
     )
@@ -377,33 +372,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nf", help="print the normal form of an expression")
     p.add_argument("presentation", help="presentation file path or bundled preset name")
     p.add_argument("expr", help="expression over the presentation's generators")
-    p.add_argument("--max-steps", type=int, default=DEFAULT_STEP_BUDGET)
+    p.add_argument("--max-steps", type=_nonnegative, default=DEFAULT_STEP_BUDGET)
     p.set_defaults(handler=_cmd_nf)
 
     p = sub.add_parser("confluence", help="enumerate ambiguities and check they all resolve")
     p.add_argument("presentation")
-    p.add_argument("--max-steps", type=int, default=DEFAULT_STEP_BUDGET)
+    p.add_argument("--max-steps", type=_nonnegative, default=DEFAULT_STEP_BUDGET)
     _add_pretty(p)
     p.set_defaults(handler=_cmd_confluence)
 
     p = sub.add_parser("witness", help="replay the factorization-witness checks")
     p.add_argument("presentation")
-    p.add_argument("--max-steps", type=int, default=DEFAULT_STEP_BUDGET)
+    p.add_argument("--max-steps", type=_nonnegative, default=DEFAULT_STEP_BUDGET)
     _add_pretty(p)
     p.set_defaults(handler=_cmd_witness)
 
     p = sub.add_parser("identity", help="fuzz the triple-commutator identity on normal forms")
     p.add_argument("presentation")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-deg", type=int, default=4)
+    p.add_argument("--trials", type=_positive, default=200)
+    p.add_argument("--max-deg", type=_nonnegative, default=4)
     _add_seed(p)
     _add_pretty(p)
     p.set_defaults(handler=_cmd_identity)
 
     p = sub.add_parser("fuzz-rank", help="fuzz a universal matrix-rank inequality")
     p.add_argument("--field", default="Fp:101", help="Q or Fp:<prime> (default Fp:101)")
-    p.add_argument("--n", type=int, default=8, help="matrix size (default 8)")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--n", type=_positive, default=8, help="matrix size (default 8)")
+    p.add_argument("--trials", type=_positive, default=200)
     p.add_argument(
         "--check",
         choices=("claim", "master", "intersection"),
@@ -433,8 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sfprobe", help="randomized one-sided-inverse probe on I + (radical) matrices"
     )
     _add_series_ring(q)
-    q.add_argument("--n", type=int, default=3, help="matrix size (default 3)")
-    q.add_argument("--trials", type=int, default=50)
+    q.add_argument("--n", type=_positive, default=3, help="matrix size (default 3)")
+    q.add_argument("--trials", type=_positive, default=50)
     _add_seed(q)
     _add_pretty(q)
     q.set_defaults(handler=_cmd_series_sfprobe)
@@ -443,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sext-demo", help="replay the square-zero-extension collapse step by step"
     )
     _add_series_ring(q)
-    q.add_argument("--pairs", type=int, default=2, help="random pairs to draw (with --random)")
+    q.add_argument("--pairs", type=_positive, default=2, help="random pairs to draw (with --random)")
     q.add_argument(
         "--random",
         action="store_true",

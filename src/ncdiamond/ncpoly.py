@@ -224,11 +224,7 @@ class NcPoly:
         f = self.alg.field
         d = dict(self.terms)
         for w, c in other.terms:
-            v = f.add(d.get(w, 0), c)
-            if v == 0:
-                d.pop(w, None)
-            else:
-                d[w] = v
+            d[w] = f.add(d.get(w, 0), c)
         return NcPoly(self.alg, d)
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
@@ -243,8 +239,6 @@ class NcPoly:
     def scale(self, c: Scalar) -> "NcPoly":
         f = self.alg.field
         c = f.normalize(c)
-        if c == 0:
-            return NcPoly(self.alg, None)
         return NcPoly(self.alg, {w: f.mul(a, c) for w, a in self.terms})
 
     def __mul__(self, other):
@@ -255,11 +249,7 @@ class NcPoly:
             for u, a in self.terms:
                 for v, b in other.terms:
                     w = u + v
-                    val = f.add(d.get(w, 0), f.mul(a, b))
-                    if val == 0:
-                        d.pop(w, None)
-                    else:
-                        d[w] = val
+                    d[w] = f.add(d.get(w, 0), f.mul(a, b))
             return NcPoly(self.alg, d)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self.scale(other)

@@ -399,32 +399,26 @@ def obstruction_probe(
     n = X.rows
     if n == 0:
         raise ValueError("assignment matrices must be nonempty")
-    T = X - Y @ X @ A
-    S = Z - X @ B
+    m = master_bound_check(X, Y, Z, A, B)
+    assert m.margin >= 0, "master bound violated: rank arithmetic is broken"
     rank_x = X.rank()
-    rank_z = Z.rank()
-    rank_yz = (Y @ Z).rank()
-    rank_t = T.rank()
-    rank_s = S.rank()
-    margin = rank_yz + rank_t + rank_s - rank_z
-    assert margin >= 0, "master bound violated: rank arithmetic is broken"
-    max_defect = max(rank_yz, rank_t, rank_s)
-    alpha_rank_cap = Fraction(min(rank_x, rank_z), n)
+    max_defect = max(m.rank_yz, m.rank_t, m.rank_s)
+    alpha_rank_cap = Fraction(min(rank_x, m.rank_z), n)
     alpha_defect_floor = Fraction(4 * max_defect, n)
     return DefectReport(
         n=n,
         field=X.field,
         rank_x=rank_x,
-        rank_z=rank_z,
-        rank_yz=rank_yz,
-        rank_t=rank_t,
-        rank_s=rank_s,
-        margin=margin,
+        rank_z=m.rank_z,
+        rank_yz=m.rank_yz,
+        rank_t=m.rank_t,
+        rank_s=m.rank_s,
+        margin=m.margin,
         norm_x=Fraction(rank_x, n),
-        norm_z=Fraction(rank_z, n),
-        norm_yz=Fraction(rank_yz, n),
-        norm_t=Fraction(rank_t, n),
-        norm_s=Fraction(rank_s, n),
+        norm_z=Fraction(m.rank_z, n),
+        norm_yz=Fraction(m.rank_yz, n),
+        norm_t=Fraction(m.rank_t, n),
+        norm_s=Fraction(m.rank_s, n),
         alpha_rank_cap=alpha_rank_cap,
         alpha_defect_floor=alpha_defect_floor,
         regime_feasible=alpha_defect_floor < alpha_rank_cap,

@@ -108,6 +108,22 @@ def _leftmost_match(word: Word, rules: tuple[RewriteRule, ...]) -> tuple[int, in
     return best
 
 
+def _splice(
+    sys: RewriteSystem, word: Word, pos: int, rule: RewriteRule, c: Scalar
+) -> list[tuple[Word, Scalar]]:
+    """The terms of c * (pre * rule.rhs * post), where word = pre + rule.lhs +
+    post with rule.lhs at pos, less every word over the truncation cap.
+    Distinct rhs words splice to distinct words, so no two terms collide."""
+    pre, post = word[:pos], word[pos + len(rule.lhs):]
+    mul = sys.alg.field.mul
+    out = []
+    for u, a in rule.rhs.terms:
+        nu = pre + u + post
+        if sys.trunc is None or len(nu) <= sys.trunc:
+            out.append((nu, mul(c, a)))
+    return out
+
+
 def reduce_once(p: NcPoly, sys: RewriteSystem) -> tuple[NcPoly, bool]:
     """Apply one rewrite using the fixed strategy: take the deglex-greatest
     term whose word contains some lhs, rewrite its leftmost occurrence with
@@ -120,18 +136,9 @@ def reduce_once(p: NcPoly, sys: RewriteSystem) -> tuple[NcPoly, bool]:
         if hit is None:
             continue
         pos, idx = hit
-        rule = sys.rules[idx]
-        pre, post = w[:pos], w[pos + len(rule.lhs):]
         d = {u: a for u, a in p.terms if u != w}
-        for u, a in rule.rhs.terms:
-            nu = pre + u + post
-            if sys.trunc is not None and len(nu) > sys.trunc:
-                continue
-            v = f.add(d.get(nu, 0), f.mul(c, a))
-            if v == 0:
-                d.pop(nu, None)
-            else:
-                d[nu] = v
+        for nu, a in _splice(sys, w, pos, sys.rules[idx], c):
+            d[nu] = f.add(d.get(nu, 0), a)
         return NcPoly(sys.alg, d), True
     return p, False
 
@@ -147,7 +154,6 @@ def normal_form(p: NcPoly, sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUD
     _check_poly(p, sys)
     f = sys.alg.field
     rules = sys.rules
-    cap = sys.trunc
     acc: dict[Word, Scalar] = {}
     work: list[tuple[Word, Scalar]] = list(p.terms)
     steps = 0
@@ -155,26 +161,20 @@ def normal_form(p: NcPoly, sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUD
         w, c = work.pop()
         hit = _leftmost_match(w, rules)
         if hit is None:
-            v = f.add(acc.get(w, 0), c)
-            if v == 0:
-                acc.pop(w, None)
-            else:
-                acc[w] = v
+            acc[w] = f.add(acc.get(w, 0), c)
             continue
         steps += 1
         if steps > max_steps:
+            why = (
+                "the rule set is suspect (likely a truncated-mode loop)"
+                if sys.trunc is not None
+                else "deglex-decreasing rules terminate, so a larger budget reaches one"
+            )
             raise StepBudgetExceeded(
-                f"no normal form within {max_steps} rewrites; the rule set is "
-                "suspect (likely a truncated-mode loop)"
+                f"the step budget ran out after {max_steps} rewrites, before a normal form; {why}"
             )
         pos, idx = hit
-        rule = rules[idx]
-        pre, post = w[:pos], w[pos + len(rule.lhs):]
-        for u, a in rule.rhs.terms:
-            nu = pre + u + post
-            if cap is not None and len(nu) > cap:
-                continue
-            work.append((nu, f.mul(c, a)))
+        work.extend(_splice(sys, w, pos, rules[idx], c))
     return NcPoly(sys.alg, acc)
 
 
@@ -240,28 +240,15 @@ def find_ambiguities(sys: RewriteSystem) -> tuple[Ambiguity, ...]:
     return tuple(out)
 
 
-def _splice(sys: RewriteSystem, word: Word, pos: int, rule: RewriteRule) -> NcPoly:
-    """Replace the occurrence of rule.lhs at pos inside word by rule.rhs."""
-    pre, post = word[:pos], word[pos + len(rule.lhs):]
-    d: dict[Word, Scalar] = {}
-    f = sys.alg.field
-    for u, a in rule.rhs.terms:
-        nu = pre + u + post
-        if sys.trunc is not None and len(nu) > sys.trunc:
-            continue
-        v = f.add(d.get(nu, 0), a)
-        if v == 0:
-            d.pop(nu, None)
-        else:
-            d[nu] = v
-    return NcPoly(sys.alg, d)
-
-
 def ambiguity_reducts(sys: RewriteSystem, amb: Ambiguity) -> tuple[NcPoly, NcPoly]:
     """The two one-step reducts of the ambiguity word: rule_a applied at
     position 0, rule_b applied at the stored offset."""
+    one = sys.alg.field.one()
     ra, rb = sys.rules[amb.rule_a], sys.rules[amb.rule_b]
-    return _splice(sys, amb.word, 0, ra), _splice(sys, amb.word, amb.offset, rb)
+    return (
+        NcPoly(sys.alg, dict(_splice(sys, amb.word, 0, ra, one))),
+        NcPoly(sys.alg, dict(_splice(sys, amb.word, amb.offset, rb, one))),
+    )
 
 
 @dataclass(frozen=True)
@@ -391,11 +378,7 @@ def random_poly(sys: RewriteSystem, max_deg: int, rng, max_terms: int = 4) -> Nc
             d = rng.randint(0, max_deg)
         w = rng.choice(levels[d])
         c = f.random_nonzero(rng)
-        v = f.add(acc.get(w, 0), c)
-        if v == 0:
-            acc.pop(w, None)
-        else:
-            acc[w] = v
+        acc[w] = f.add(acc.get(w, 0), c)
     return NcPoly(sys.alg, acc)
 
 

@@ -160,8 +160,32 @@ def test_fuzz_rank_over_q_and_zero_trials(capsys):
         capsys, "fuzz-rank", "--field", "Q", "--n", "3", "--trials", "10", "--seed", "2"
     )
     assert code == 0 and doc["inputs"]["field"] == "Q"
-    code, doc, _ = run_json(capsys, "fuzz-rank", "--trials", "0", "--seed", "2")
-    assert code == 0 and doc["details"]["min_margin"] is None
+    code, out, err = run(capsys, "fuzz-rank", "--trials", "0", "--seed", "2")
+    assert code == 2 and out == "" and "--trials: must be at least 1, got 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["identity", "irving", "--trials", "-5"], "--trials: must be at least 1, got -5"),
+        (["identity", "irving", "--trials", "0"], "--trials: must be at least 1, got 0"),
+        (["identity", "irving", "--max-deg", "-1"], "--max-deg: must be at least 0, got -1"),
+        (["fuzz-rank", "--n", "0"], "--n: must be at least 1, got 0"),
+        (["fuzz-rank", "--n", "-3"], "--n: must be at least 1, got -3"),
+        (["fuzz-rank", "--trials", "0"], "--trials: must be at least 1, got 0"),
+        (["series", "sfprobe", "--trials", "0"], "--trials: must be at least 1, got 0"),
+        (["series", "sfprobe", "--n", "0"], "--n: must be at least 1, got 0"),
+        (["series", "sext-demo", "--pairs", "0"], "--pairs: must be at least 1, got 0"),
+        (["series", "quasi-inverse", "x", "--trunc", "0"], "--trunc: must be at least 1, got 0"),
+        (["nf", "irving", "x", "--max-steps", "-1"], "--max-steps: must be at least 0, got -1"),
+        (["confluence", "irving", "--max-steps", "-1"], "--max-steps: must be at least 0, got -1"),
+        (["witness", "irving", "--max-steps", "-1"], "--max-steps: must be at least 0, got -1"),
+        (["identity", "irving", "--trials", "many"], "--trials: invalid integer value: 'many'"),
+    ],
+)
+def test_out_of_range_counts_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and message in err
 
 
 def test_fuzz_rank_bad_field_exits_2(capsys):

@@ -384,7 +384,11 @@ def test_obstruction_probe_random_assignments(irving):
         pres, f = (irving, Q) if t % 2 else (over_f101, F101)
         asn = random_assignment(pres.alg.gens, f, n, rng)
         rep = obstruction_probe(pres.system, pres.witness, asn)
-        assert rep.margin >= 0
+        X, Y, Z, A, B = (evaluate_poly(p, asn) for _, p in pres.witness.items())
+        oracle_rank = oracles.rank_fraction_gauss if f == Q else oracles.rank_by_minors
+        want = [oracle_rank(M) for M in (X, Z, Y @ Z, X - Y @ X @ A, Z - X @ B)]
+        assert [rep.rank_x, rep.rank_z, rep.rank_yz, rep.rank_t, rep.rank_s] == want
+        assert rep.margin == rep.rank_yz + rep.rank_t + rep.rank_s - rep.rank_z
         assert not rep.regime_feasible
         assert rep.n == n and rep.field == f
         assert rep.norm_x == Fraction(rep.rank_x, n)

@@ -162,13 +162,18 @@ def test_nf_idempotent_linear_multiplicative(irving):
         assert normal_form(p * q, sys_) == normal_form(nf_p * nf_q, sys_)
 
 
-def test_step_budget(irving):
+def test_step_budget(irving, alg_q):
     alg = irving.alg
     p = alg.parse("y*x*y") * alg.parse("y*x*y") * alg.parse("y*x*y")
     with pytest.raises(StepBudgetExceeded):
         normal_form(p, irving.system, max_steps=1)
     with pytest.raises(StepBudgetExceeded):
         reduction_trace(p, irving.system, max_steps=1)
+    # the Weyl rule cannot loop, so the message names the budget, not a loop
+    weyl = make_system(alg_q, "y*x -> x*y + 1")
+    with pytest.raises(StepBudgetExceeded, match="ran out after 1000 rewrites") as exc:
+        normal_form(alg_q.parse("y*y*y*y*y*y*y*y*x*x*x*x*x*x*x*x"), weyl, max_steps=1000)
+    assert "loop" not in str(exc.value)
 
 
 def test_truncated_mode_loop_hits_budget(alg_q):
@@ -178,7 +183,7 @@ def test_truncated_mode_loop_hits_budget(alg_q):
         RewriteRule(alg_q.word_from_names("y", "x", "y"), alg_q.parse("x")),
     )
     sys_ = RewriteSystem(alg_q, rules, trunc=6)
-    with pytest.raises(StepBudgetExceeded):
+    with pytest.raises(StepBudgetExceeded, match="after 500 rewrites.*truncated-mode loop"):
         normal_form(alg_q.parse("x"), sys_, max_steps=500)
 
 
@@ -188,6 +193,46 @@ def test_truncated_mode_discards_high_degree(alg_q):
         alg_q, (RewriteRule(alg_q.word_from_names("x"), alg_q.parse("y*y*y")),), trunc=2
     )
     assert normal_form(alg_q.parse("x + y"), sys_) == alg_q.parse("y")
+
+
+def truncated_system(alg, cap):
+    """y*x -> x*y + 2*y^4 raises the degree; x*x -> y overlaps it in y*x*x."""
+    rules = (
+        RewriteRule(alg.word_from_names("y", "x"), alg.parse("x*y + 2*y*y*y*y")),
+        RewriteRule(alg.word_from_names("x", "x"), alg.parse("y")),
+    )
+    return RewriteSystem(alg, rules, trunc=cap)
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5])
+def test_truncated_splice_agrees_across_entry_points(alg_q, cap):
+    sys_ = truncated_system(alg_q, cap)
+    texts = ["y*x - x*y", "y*x*x", "y*y*x*x", "y*x*y*x", "x*y*x + 3*y*x", "(x + y)*(x + y)*(x + y)"]
+    for text in texts:
+        p = alg_q.parse(text)
+        cur, changed = p, True
+        while changed:
+            cur, changed = reduce_once(cur, sys_)
+        assert cur == reduction_trace(p, sys_)[-1] == normal_form(p, sys_)
+        assert cur == oracles.oracle_normal_form(p, sys_)
+
+
+def test_truncated_splice_by_hand(alg_q):
+    amb, _ = find_ambiguities(truncated_system(alg_q, 4))
+    assert alg_q.word_str(amb.word) == "y*x*x" and amb.offset == 1
+    # rule 0 at 0 gives x*y*x + 2*y^4*x; the degree-5 word is over cap 4
+    assert ambiguity_reducts(truncated_system(alg_q, 4), amb) == (
+        alg_q.parse("x*y*x"), alg_q.parse("y*y"),
+    )
+    assert ambiguity_reducts(truncated_system(alg_q, 5), amb) == (
+        alg_q.parse("x*y*x + 2*y*y*y*y*x"), alg_q.parse("y*y"),
+    )
+    # the spliced x*y cancels -x*y exactly and leaves no zero term behind
+    p = alg_q.parse("y*x - x*y")
+    out, changed = reduce_once(p, truncated_system(alg_q, 4))
+    assert changed and out.terms == ((alg_q.word_from_names("y", "y", "y", "y"), 2),)
+    out, changed = reduce_once(p, truncated_system(alg_q, 3))
+    assert changed and out.terms == ()
 
 
 # -- ambiguities -------------------------------------------------------------------
