@@ -7,19 +7,10 @@ forms the quasi-inverse of f, and prints each verified identity together
 with the algebraic conclusion they force."""
 
 import argparse
+import signal
 
-from ncdiamond import Field, FreeAlgebra, SExtElement, TruncSeries, collapse_demo, random_s_ext
+from ncdiamond import Field, FreeAlgebra, builtin_collapse_instance, collapse_demo, random_s_ext
 from ncdiamond.seeding import rng_for
-
-
-def builtin_instance(alg, cap):
-    one = TruncSeries.one(alg, cap)
-    x = TruncSeries(alg.gen(alg.gens[0]), cap)
-    y = TruncSeries(alg.gen(alg.gens[1]), cap)
-    two = TruncSeries(alg.scalar(alg.field.from_int(2)), cap)
-    u = [SExtElement.from_ring(one), SExtElement.from_ring(one + x)]
-    v = [SExtElement.from_ring(one), SExtElement.from_ring(two + y)]
-    return u, v
 
 
 def main() -> None:
@@ -37,7 +28,7 @@ def main() -> None:
         u = [random_s_ext(alg, args.trunc, rng) for _ in range(args.pairs)]
         v = [random_s_ext(alg, args.trunc, rng) for _ in range(args.pairs)]
     else:
-        u, v = builtin_instance(alg, args.trunc)
+        u, v = builtin_collapse_instance(alg, args.trunc)
 
     print(f"== collapse replay over {alg.field}, cap {args.trunc}, {len(u)} pair(s) ==")
     for i, (ui, vi) in enumerate(zip(u, v)):
@@ -57,4 +48,6 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    # a reader that stops early (`| head`) ends the script quietly
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     main()

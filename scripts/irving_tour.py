@@ -4,6 +4,7 @@ resolution, normal-word growth, the factorization witness, and a short
 randomized check of the triple-commutator identity."""
 
 import argparse
+import signal
 
 from ncdiamond import (
     ambiguity_reducts,
@@ -73,4 +74,6 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    # a reader that stops early (`| head`) ends the script quietly
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     main()

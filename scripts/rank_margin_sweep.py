@@ -8,6 +8,7 @@ thresholds; the defect floor staying at or above the rank cap on every draw
 is exactly the obstruction the bounds enforce."""
 
 import argparse
+import signal
 
 from ncdiamond import Field, load_presentation, obstruction_probe, parse_presentation, random_assignment
 from ncdiamond.seeding import rng_for
@@ -57,4 +58,6 @@ def main() -> None:
 
 
 if __name__ == "__main__":
+    # a reader that stops early (`| head`) ends the script quietly
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     main()

@@ -85,6 +85,7 @@ from .seriesring import (
     SeriesMatrix,
     SExtElement,
     TruncSeries,
+    builtin_collapse_instance,
     circle,
     collapse_demo,
     neumann_inverse,
@@ -114,9 +115,10 @@ __all__ = [
     "verify_lemma_witness",
     # truncated series
     "CollapseReport", "CollapseStep", "FinitenessProbe", "SeriesMatrix",
-    "SExtElement", "TruncSeries", "circle", "collapse_demo", "neumann_inverse",
-    "quasi_inverse", "random_radical_matrix", "random_s_ext", "random_series",
-    "rewrite_k_step", "s_ext_mul", "stable_finiteness_probe",
+    "SExtElement", "TruncSeries", "builtin_collapse_instance", "circle",
+    "collapse_demo", "neumann_inverse", "quasi_inverse", "random_radical_matrix",
+    "random_s_ext", "random_series", "rewrite_k_step", "s_ext_mul",
+    "stable_finiteness_probe",
     # exact rank
     "BoundCheck", "DefectReport", "ExactMatrix", "MasterCheck", "RankFuzzReport",
     "claim_bound_check", "evaluate_poly", "exact_rank", "fuzz_bound_checks",

@@ -34,8 +34,8 @@ from .rewrite import (
 from .seeding import rng_for
 from .seriesring import (
     SeriesMatrix,
-    SExtElement,
     TruncSeries,
+    builtin_collapse_instance,
     circle,
     collapse_demo,
     neumann_inverse,
@@ -139,6 +139,11 @@ def _cmd_witness(args) -> int:
         "nf_x": str(rep.nf_x),
         "nf_z": str(rep.nf_z),
     }
+    if not rep.confluent:
+        details["reason"] = (
+            "the rules are not confluent, so nonzero normal forms do not show "
+            "that x and z are nonzero in the quotient"
+        )
     return _finish(args, "witness", {"presentation": args.presentation}, rep.verdict, details, None)
 
 
@@ -272,17 +277,6 @@ def _cmd_series_sfprobe(args) -> int:
     return _finish(args, "series sfprobe", inputs, verdict, details, seed)
 
 
-def _builtin_collapse_instance(alg: FreeAlgebra, cap: int) -> tuple[list, list]:
-    """Two fixed pairs: (1, 1) and (1 + x, 2 + y), giving f = y + 2*(1+x)*y."""
-    one = TruncSeries.one(alg, cap)
-    x = TruncSeries(alg.gen(alg.gens[0]), cap)
-    y = TruncSeries(alg.gen(alg.gens[1]), cap)
-    two = TruncSeries(alg.scalar(alg.field.from_int(2)), cap)
-    u = [SExtElement.from_ring(one), SExtElement.from_ring(one + x)]
-    v = [SExtElement.from_ring(one), SExtElement.from_ring(two + y)]
-    return u, v
-
-
 def _cmd_series_sext_demo(args) -> int:
     alg = _series_algebra(args)
     if len(alg.gens) < 2:
@@ -294,7 +288,7 @@ def _cmd_series_sext_demo(args) -> int:
         u = [random_s_ext(alg, args.trunc, rng) for _ in range(args.pairs)]
         v = [random_s_ext(alg, args.trunc, rng) for _ in range(args.pairs)]
     else:
-        u, v = _builtin_collapse_instance(alg, args.trunc)
+        u, v = builtin_collapse_instance(alg, args.trunc)
     rep = collapse_demo(u, v)
     details = {
         "pairs": len(u),

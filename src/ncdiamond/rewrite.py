@@ -13,6 +13,8 @@ that run on normal forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from heapq import heapify, heappop, heappush
 
 from .fields import FieldError, Scalar
 from .ncpoly import EMPTY_WORD, FreeAlgebra, NcPoly, Word
@@ -22,10 +24,11 @@ DEFAULT_STEP_BUDGET = 1_000_000
 
 
 class StepBudgetExceeded(RuntimeError):
-    """Reduction used more elementary rewrites than the configured budget.
+    """Reduction needed more rewrites than the configured budget, one
+    rewrite of one merged word counting as one step.
 
-    With degree-nonincreasing rules this signals a pathologically large
-    input; in truncated mode it usually means the rule set loops.
+    Degree-nonincreasing rules always terminate, so a larger budget reaches
+    the normal form; in truncated mode it usually means the rule set loops.
     """
 
 
@@ -143,25 +146,45 @@ def reduce_once(p: NcPoly, sys: RewriteSystem) -> tuple[NcPoly, bool]:
     return p, False
 
 
-def normal_form(p: NcPoly, sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPoly:
-    """Fully reduce p, counting each elementary rewrite against max_steps.
+@cache
+def _descending_letters(letter_rank: tuple[int, ...]) -> dict[int, int]:
+    """A translation table under which (-len(w), w.translate(table)) sorts
+    words in descending deglex order: it reverses the rank of each letter."""
+    top = len(letter_rank) - 1
+    return {i: top - r for i, r in enumerate(letter_rank)}
 
-    Internally each word is reduced at its leftmost occurrence with the
-    lowest-index rule, words being processed from a worklist; because the
-    per-word replacement is deterministic, the fixed point agrees with
-    iterating :func:`reduce_once` regardless of the processing order.
+
+def _reduce(
+    p: NcPoly, sys: RewriteSystem, max_steps: int, snapshots: list[NcPoly] | None = None
+) -> NcPoly:
+    """The one reduction loop behind normal_form and reduction_trace.
+
+    ``terms`` holds the current polynomial with equal words merged, and a
+    heap holds its reducible words, deglex-greatest first.  Each step pops
+    the greatest reducible word with its merged coefficient and rewrites its
+    leftmost match with the lowest-index rule: reduce_once's choice, so the
+    polynomials appended to ``snapshots`` are its iteration.  A word whose
+    coefficient cancelled to 0 leaves without a step.  In truncated mode a
+    popped word may come back; it is then merged in and pushed again.
+    ``snapshots``, when given, starts as [p], and its last entry is returned.
     """
     _check_poly(p, sys)
-    f = sys.alg.field
+    alg = sys.alg
+    add = alg.field.add
     rules = sys.rules
-    acc: dict[Word, Scalar] = {}
-    work: list[tuple[Word, Scalar]] = list(p.terms)
-    steps = 0
-    while work:
-        w, c = work.pop()
+    desc = _descending_letters(alg.letter_rank)
+    terms = dict(p.terms)
+    heap = []
+    for w in terms:
         hit = _leftmost_match(w, rules)
-        if hit is None:
-            acc[w] = f.add(acc.get(w, 0), c)
+        if hit is not None:
+            heap.append((-len(w), w.translate(desc), w, hit))
+    heapify(heap)
+    steps = 0
+    while heap:
+        _, _, w, (pos, idx) = heappop(heap)
+        c = terms.pop(w)
+        if c == 0:
             continue
         steps += 1
         if steps > max_steps:
@@ -173,26 +196,32 @@ def normal_form(p: NcPoly, sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUD
             raise StepBudgetExceeded(
                 f"the step budget ran out after {max_steps} rewrites, before a normal form; {why}"
             )
-        pos, idx = hit
-        work.extend(_splice(sys, w, pos, rules[idx], c))
-    return NcPoly(sys.alg, acc)
+        for u, a in _splice(sys, w, pos, rules[idx], c):
+            if u in terms:
+                terms[u] = add(terms[u], a)
+            else:
+                terms[u] = a
+                hit = _leftmost_match(u, rules)
+                if hit is not None:
+                    heappush(heap, (-len(u), u.translate(desc), u, hit))
+        if snapshots is not None:
+            snapshots.append(NcPoly(alg, terms))
+    return snapshots[-1] if snapshots else NcPoly(alg, terms)
+
+
+def normal_form(p: NcPoly, sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPoly:
+    """Fully reduce p, counting each rewrite of a merged word against
+    max_steps; the result is the last entry of :func:`reduction_trace`."""
+    return _reduce(p, sys, max_steps)
 
 
 def reduction_trace(
     p: NcPoly, sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET
 ) -> tuple[NcPoly, ...]:
-    """The literal reduce_once iteration [p, p1, ..., normal form]."""
+    """The reduce_once iteration [p, p1, ..., normal form]."""
     trace = [p]
-    steps = 0
-    cur = p
-    while True:
-        cur, changed = reduce_once(cur, sys)
-        if not changed:
-            return tuple(trace)
-        trace.append(cur)
-        steps += 1
-        if steps > max_steps:
-            raise StepBudgetExceeded(f"no normal form within {max_steps} rewrites")
+    _reduce(p, sys, max_steps, trace)
+    return tuple(trace)
 
 
 # -- ambiguities and confluence --------------------------------------------------
@@ -302,10 +331,11 @@ def complete(
 ) -> CompletionResult:
     """Knuth-Bendix style completion by critical pairs.
 
-    Repeatedly picks the first unresolved ambiguity, fully normalizes the
-    difference of its two reducts, and orients it with the deglex-greatest
-    word as the new left-hand side (over a field the leading coefficient is
-    always invertible).  Old rules are kept as-is; only the new rule's
+    Repeatedly picks the first unresolved ambiguity, normalizes the
+    difference of its two reducts (normal forms are linear, so this is
+    nonzero exactly when their normal forms differ), and orients it with the
+    deglex-greatest word as the new left-hand side (over a field the leading
+    coefficient is always invertible).  Old rules are kept as-is; only the new rule's
     right-hand side is born fully reduced.  Stops with completed=False when
     a budget is hit, and raises :class:`QuotientCollapseError` if a critical
     pair normalizes to a nonzero scalar.
@@ -315,15 +345,17 @@ def complete(
     added: list[RewriteRule] = []
     cur = sys
     while True:
-        report = check_confluence(cur)
-        if report.overall:
+        for amb in find_ambiguities(cur):
+            red_a, red_b = ambiguity_reducts(cur, amb)
+            diff = normal_form(red_a - red_b, cur)
+            if diff:
+                break
+        else:
             return CompletionResult(True, cur, tuple(added))
-        chk = next(c for c in report.checks if not c.resolvable)
-        diff = chk.normal_form_a - chk.normal_form_b
         w, c = diff.leading_term()
         if w == EMPTY_WORD:
             raise QuotientCollapseError(
-                f"critical pair at {cur.alg.word_str(chk.ambiguity.word)} normalizes "
+                f"critical pair at {cur.alg.word_str(amb.word)} normalizes "
                 f"to the nonzero scalar {cur.alg.field.scalar_str(c)}: the quotient "
                 "collapses to the zero ring"
             )
@@ -457,7 +489,11 @@ class LemmaWitness:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """The four normal-form checks behind the factorization witness."""
+    """The four normal-form checks behind the factorization witness.
+
+    Reducing to 0 proves membership in the ideal on any rule set, but a
+    nonzero normal form proves an element nonzero only when the rules are
+    confluent (Bergman's diamond lemma), so ``nonzero`` also needs that."""
 
     residual_x: NcPoly        # nf(x - y*x*a)
     residual_z: NcPoly        # nf(z - x*b)
@@ -467,7 +503,8 @@ class WitnessReport:
     recovers_x: bool          # x = y*x*a in the quotient
     z_in_ideal: bool          # z = x*b in the quotient
     y_kills_z: bool           # y*z = 0 in the quotient
-    nonzero: bool             # x and z survive reduction
+    confluent: bool           # every ambiguity of the rules resolves
+    nonzero: bool             # x and z survive reduction, and confluent
     verdict: bool
 
 
@@ -483,7 +520,8 @@ def verify_lemma_witness(
     recovers_x = residual_x.is_zero()
     z_in_ideal = residual_z.is_zero()
     y_kills_z = annihilation.is_zero()
-    nonzero = bool(nf_x) and bool(nf_z)
+    confluent = check_confluence(sys, max_steps).overall
+    nonzero = confluent and bool(nf_x) and bool(nf_z)
     return WitnessReport(
         residual_x,
         residual_z,
@@ -493,6 +531,7 @@ def verify_lemma_witness(
         recovers_x,
         z_in_ideal,
         y_kills_z,
+        confluent,
         nonzero,
         recovers_x and z_in_ideal and y_kills_z and nonzero,
     )

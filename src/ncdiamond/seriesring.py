@@ -302,6 +302,20 @@ def collapse_demo(u: Sequence[SExtElement], v: Sequence[SExtElement]) -> Collaps
     return CollapseReport(coeffs, f, g, (step1, step2, step3, step4), computational)
 
 
+def builtin_collapse_instance(
+    alg: FreeAlgebra, cap: int
+) -> tuple[list[SExtElement], list[SExtElement]]:
+    """The fixed two-pair input of the collapse replay: (1, 1) and
+    (1 + x, 2 + y), giving f = y + 2*(1+x)*y."""
+    one = TruncSeries.one(alg, cap)
+    x = TruncSeries(alg.gen(alg.gens[0]), cap)
+    y = TruncSeries(alg.gen(alg.gens[1]), cap)
+    two = TruncSeries(alg.scalar(alg.field.from_int(2)), cap)
+    u = [SExtElement.from_ring(one), SExtElement.from_ring(one + x)]
+    v = [SExtElement.from_ring(one), SExtElement.from_ring(two + y)]
+    return u, v
+
+
 def random_series(
     alg: FreeAlgebra,
     cap: int,

@@ -93,11 +93,34 @@ def test_witness_verdict_and_details(capsys):
     assert d["witness"] == {"x": "x", "y": "y", "z": "x*y*x", "a": "y", "b": "y*x"}
     assert all(d["checks"].values())
     assert d["residual_x"] == "0" and d["nf_z"] == "x*y*x"
+    assert "reason" not in d
 
 
 def test_witness_missing_block_exits_2(capsys):
     code, _, err = run(capsys, "witness", "cohnsasiada")
     assert code == 2 and "witness" in err
+
+
+# x = x*(x*y) = x*x*y = 0 and 1 = x*y = 0: the quotient is the zero ring,
+# although the rules leave x and x*y*x irreducible
+COLLAPSED = (
+    "field Q\ngens x y\nrel x*x\nrel y*x*y - x\nrule x*y -> 1\n"
+    "witness x=x y=y z=x*y*x a=y b=y*x\n"
+)
+
+
+def test_witness_on_non_confluent_rules_is_not_nonzero(capsys, tmp_path):
+    f = tmp_path / "collapsed.pres"
+    f.write_text(COLLAPSED)
+    code, doc, _ = run_json(capsys, "witness", str(f))
+    assert code == 1 and doc["verdict"] is False
+    d = doc["details"]
+    assert d["checks"] == {
+        "recovers_x": True, "z_in_ideal": True, "y_kills_z": True, "nonzero": False,
+    }
+    assert d["nf_x"] == "x" and "not confluent" in d["reason"]
+    code, _, err = run(capsys, "probe", str(f), write_assignment(tmp_path, GOOD_ASSIGN))
+    assert code == 2 and "does not verify" in err
 
 
 # -- identity ---------------------------------------------------------------------

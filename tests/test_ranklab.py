@@ -370,28 +370,49 @@ def test_obstruction_probe_rejects_bad_witness(irving):
         obstruction_probe(irving.system, broken, {"x": E12, "y": E21})
 
 
-def test_obstruction_probe_random_assignments(irving):
+def near_representation(f, n, rng) -> dict[str, ExactMatrix]:
+    """X and Y that satisfy X@X = 0 and Y@X@Y = X on 2x2 blocks (X = E12,
+    Y = diag(a, 1/a)), each plus a random matrix of planted rank 0 or 1.
+    Then T, S, Z and YZ have low ranks that vary, while YX keeps rank about
+    n/2; generic matrices of planted low rank make rank(YX) = rank(YZ)."""
+    x = [[0] * n for _ in range(n)]
+    y = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(0, n - 1, 2):
+        a = f.random_nonzero(rng)
+        x[i][i + 1] = 1
+        y[i][i], y[i + 1][i + 1] = a, f.inv(a)
+    perturb = lambda: random_matrix(f, n, rng.randint(0, 1), seed=rng.randrange(1 << 30))
+    return {"x": ExactMatrix(f, x) + perturb(), "y": ExactMatrix(f, y) + perturb()}
+
+
+def test_obstruction_probe_random_assignments():
     from ncdiamond import parse_presentation
 
-    over_f101 = parse_presentation(
-        "field Fp 101\ngens x y\nrel x*x\nrel y*x*y - x\n"
-        "witness x=x y=y z=x*y*x a=y b=y*x\n",
-        "irving-f101",
+    # z = x*y*x + x*x is x*y*x in the quotient, so S = Z - X@B = X@X
+    text = (
+        "field {}\ngens x y\nrel x*x\nrel y*x*y - x\n"
+        "witness x=x y=y z=x*y*x + x*x a=y b=y*x\n"
     )
+    systems = {f: parse_presentation(text.format(s), s) for f, s in ((Q, "Q"), (F101, "Fp 101"))}
+    seen = []
     for t in range(25):
         rng = rng_for(48, "probefuzz", t)
-        n = rng.randint(1, 5)
-        pres, f = (irving, Q) if t % 2 else (over_f101, F101)
-        asn = random_assignment(pres.alg.gens, f, n, rng)
+        n = rng.randint(1, 6)
+        f = Q if t % 2 else F101
+        pres = systems[f]
+        asn = near_representation(f, n, rng)
         rep = obstruction_probe(pres.system, pres.witness, asn)
         X, Y, Z, A, B = (evaluate_poly(p, asn) for _, p in pres.witness.items())
         oracle_rank = oracles.rank_fraction_gauss if f == Q else oracles.rank_by_minors
         want = [oracle_rank(M) for M in (X, Z, Y @ Z, X - Y @ X @ A, Z - X @ B)]
-        assert [rep.rank_x, rep.rank_z, rep.rank_yz, rep.rank_t, rep.rank_s] == want
+        got = [rep.rank_x, rep.rank_z, rep.rank_yz, rep.rank_t, rep.rank_s]
+        assert got == want
+        seen.append(got)
         assert rep.margin == rep.rank_yz + rep.rank_t + rep.rank_s - rep.rank_z
         assert not rep.regime_feasible
         assert rep.n == n and rep.field == f
         assert rep.norm_x == Fraction(rep.rank_x, n)
+    assert all(len(set(column)) > 1 for column in zip(*seen))
 
 
 # -- the fuzz driver ------------------------------------------------------------------

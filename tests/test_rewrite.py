@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import oracles
@@ -117,7 +119,7 @@ def test_normal_form_has_no_redex(irving):
 
 @pytest.mark.parametrize("preset", ["irving", "cohnsasiada"])
 def test_normal_form_matches_oracle(preset, irving, cohnsasiada):
-    # the worklist reducer must agree with the literal greatest-term
+    # the merged reducer must agree with the literal greatest-term
     # iteration even on the non-confluent system
     pres = irving if preset == "irving" else cohnsasiada
     for t in range(120):
@@ -171,9 +173,23 @@ def test_step_budget(irving, alg_q):
         reduction_trace(p, irving.system, max_steps=1)
     # the Weyl rule cannot loop, so the message names the budget, not a loop
     weyl = make_system(alg_q, "y*x -> x*y + 1")
-    with pytest.raises(StepBudgetExceeded, match="ran out after 1000 rewrites") as exc:
-        normal_form(alg_q.parse("y*y*y*y*y*y*y*y*x*x*x*x*x*x*x*x"), weyl, max_steps=1000)
+    with pytest.raises(StepBudgetExceeded, match="ran out after 100 rewrites") as exc:
+        normal_form(alg_q.parse("y*y*y*y*y*y*y*y*x*x*x*x*x*x*x*x"), weyl, max_steps=100)
     assert "loop" not in str(exc.value)
+
+
+@pytest.mark.parametrize("k", [8, 24])
+def test_weyl_large_normal_form(alg_q, k):
+    # y^k*x^k = sum_j j! C(k,j)^2 x^(k-j)*y^(k-j): k+1 terms, reached by
+    # merging equal words (the unmerged expansion has (2k)!/(k!)^2 paths)
+    weyl = make_system(alg_q, "y*x -> x*y + 1")
+    x, y = alg_q.word_from_names("x"), alg_q.word_from_names("y")
+    want = {
+        x * (k - j) + y * (k - j): math.factorial(j) * math.comb(k, j) ** 2
+        for j in range(k + 1)
+    }
+    got = normal_form(alg_q.monomial(y * k + x * k), weyl)
+    assert got == alg_q.poly(want) and len(got.terms) == k + 1
 
 
 def test_truncated_mode_loop_hits_budget(alg_q):
@@ -347,6 +363,85 @@ def test_complete_rejects_truncated_mode(alg_q):
         complete(RewriteSystem(alg_q, (up,), trunc=4))
 
 
+# -- the reduction engine against reduce_once ------------------------------------------
+
+WEYL = "field Q\ngens x y\nrule y*x -> x*y + 1\n"
+SL2 = "field Q\ngens e f h\nrel h*e - e*h - 2*e\nrel h*f - f*h + 2*f\nrel e*f - f*e - h\n"
+BRAID = "field Q\ngens x y\nrel y*x*y - x*y*x\n"
+S3_F7 = "field Fp 7\ngens a b\nrel a*a - 1\nrel b*b*b - 1\nrel a*b*a*b - 1\n"
+D4_F7 = "field Fp 7\ngens a b\nrel a*a - 1\nrel b*b*b*b - 1\nrel a*b*a*b - 1\n"
+
+
+def iterate_reduce_once(p, sys_):
+    trace = [p]
+    while True:
+        p, changed = reduce_once(p, sys_)
+        if not changed:
+            return tuple(trace)
+        trace.append(p)
+
+
+def engine_inputs(sys_, tag, count, max_deg):
+    """Products of random normal-word polynomials, then every ambiguity reduct."""
+    out = []
+    for t in range(count):
+        rng = rng_for(21, "engine", tag, t)
+        p = random_poly(sys_, max_deg, rng)
+        out.append(p * random_poly(sys_, max_deg, rng) + p)
+    for amb in find_ambiguities(sys_):
+        out.extend(ambiguity_reducts(sys_, amb))
+    return out
+
+
+def engine_systems(irving, cohnsasiada, alg_q):
+    braid = parse_presentation(BRAID, "braid").system
+    yield "irving", irving.system, True
+    yield "cohnsasiada", cohnsasiada.system, False
+    yield "weyl", parse_presentation(WEYL, "weyl").system, True
+    yield "sl2", parse_presentation(SL2, "sl2").system, True
+    yield "braid12", complete(braid, max_new_rules=12).system, False
+    for cap in (3, 4, 5, 6):
+        yield f"trunc{cap}", truncated_system(alg_q, cap), False
+
+
+def test_engine_matches_reduce_once_and_oracles(irving, cohnsasiada, alg_q):
+    for tag, sys_, confluent in engine_systems(irving, cohnsasiada, alg_q):
+        assert not confluent or check_confluence(sys_).overall, tag
+        for i, p in enumerate(engine_inputs(sys_, tag, 30, 5)):
+            trace = reduction_trace(p, sys_)
+            assert trace == iterate_reduce_once(p, sys_), (tag, i)
+            nf = normal_form(p, sys_)
+            assert nf == trace[-1] == oracles.oracle_normal_form(p, sys_), (tag, i)
+            if confluent:
+                rng = rng_for(22, "engine-random", tag, i)
+                assert oracles.randomized_normal_form(p, sys_, rng) == nf, (tag, i)
+
+
+@pytest.mark.parametrize(
+    "text, budget, completed, added",
+    [
+        (BRAID, 12, False, [
+            "y*x*x*y*x -> x*y*x*x*y",
+            *(
+                "x*y*" + "x*" * k + "y*x -> x*x*y*x*x*y" + "*y" * (k - 2)
+                for k in range(3, 14)
+            ),
+        ]),
+        (S3_F7, 64, True, ["b*a*b -> a", "b*b*a -> a*b", "a*b*b -> b*a", "a*b*a -> b*b"]),
+        (D4_F7, 64, True, [
+            "b*a*b -> a", "b*b*b*a -> a*b", "b*b*a -> a*b*b", "a*b*b*b -> b*a",
+            "b*b*b -> a*b*a",
+        ]),
+    ],
+    ids=["braid12", "s3-f7", "d4-f7"],
+)
+def test_complete_adds_the_same_rules(text, budget, completed, added):
+    # captured from the trace-based completion this engine replaced
+    res = complete(parse_presentation(text, "pres").system, max_new_rules=budget)
+    assert res.completed == completed
+    assert [str(r) for r in res.added] == added
+
+
 # -- normal words --------------------------------------------------------------------
 
 
@@ -469,6 +564,17 @@ def test_witness_failure_modes(irving):
     yz = LemmaWitness(w.x, w.y, alg.parse("y"), w.a, w.b)
     rep = verify_lemma_witness(irving.system, yz)
     assert not rep.verdict and not rep.y_kills_z
+
+
+def test_witness_needs_confluence_for_nonzero(irving):
+    # irving plus x*y -> 1 presents the zero ring, yet x stays irreducible
+    alg = irving.alg
+    sys_ = irving.system.with_rule(RewriteRule(alg.word_from_names("x", "y"), alg.one()))
+    rep = verify_lemma_witness(sys_, irving.witness)
+    assert rep.recovers_x and rep.z_in_ideal and rep.y_kills_z
+    assert rep.nf_x and rep.nf_z
+    assert not rep.confluent and not rep.nonzero and not rep.verdict
+    assert verify_lemma_witness(irving.system, irving.witness).confluent
 
 
 def test_witness_items_order(irving):

@@ -10,6 +10,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def source_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize(
     "script, args, header",
     [
@@ -23,13 +29,27 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_script_runs(script, args, header):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=source_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
+
+
+def test_script_quiet_when_reader_closes_early():
+    # like `irving_tour.py | head -1`: the reader takes one line and leaves;
+    # -u writes each line through, so later lines meet the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-u", str(ROOT / "scripts" / "irving_tour.py")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=source_env(),
+    )
+    assert proc.stdout.readline() == "== presentation irving.pres over Q ==\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == ""
+    proc.wait()
