@@ -463,4 +463,10 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    # a reader that stops early (`| head`) ends the command quietly; signal
+    # is imported here, so that importing the library does not load it
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

@@ -44,21 +44,24 @@ def deglex_compare(u: Word, v: Word, letter_rank: tuple[int, ...] | None = None)
     if len(u) != len(v):
         return -1 if len(u) < len(v) else 1
     if letter_rank is not None:
-        u = u.translate(_rank_table(letter_rank))
-        v = v.translate(_rank_table(letter_rank))
+        table = _rank_table(letter_rank)
+        u, v = u.translate(table), v.translate(table)
     if u == v:
         return 0
     return -1 if u < v else 1
 
 
-def _rank_table(letter_rank: tuple[int, ...]) -> dict[int, int]:
-    return {i: rank for i, rank in enumerate(letter_rank)}
+def _rank_table(letter_rank: Iterable[int]) -> dict[int, int]:
+    """A str.translate table sending generator i to chr(letter_rank[i])."""
+    return dict(enumerate(letter_rank))
 
 
 @dataclass(frozen=True)
 class FreeAlgebra:
     """A free associative algebra: a coefficient field, named generators, and
-    the letter order used by deglex (default: declaration order)."""
+    the letter order used by deglex (default: declaration order).
+    ``descending_letters`` reverses each letter's rank, so the key
+    (-len(w), w.translate(descending_letters)) sorts words descending."""
 
     field: Field
     gens: tuple[str, ...]
@@ -79,10 +82,9 @@ class FreeAlgebra:
             raise ValueError("letter_rank must be a permutation of the generator indices")
         object.__setattr__(self, "letter_rank", rank)
         identity = rank == tuple(range(len(gens)))
-        trans = None if identity else str.maketrans(
-            {chr(i): chr(r) for i, r in enumerate(rank)}
-        )
-        object.__setattr__(self, "_trans", trans)
+        object.__setattr__(self, "_trans", None if identity else _rank_table(rank))
+        top = len(gens) - 1
+        object.__setattr__(self, "descending_letters", _rank_table(top - r for r in rank))
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(gens)})
 
     # -- word helpers -----------------------------------------------------
@@ -241,13 +243,18 @@ class NcPoly:
         c = f.normalize(c)
         return NcPoly(self.alg, {w: f.mul(a, c) for w, a in self.terms})
 
-    def __mul__(self, other):
+    def __mul__(self, other, cap: int | None = None):
+        """The product; with a cap it forms no word of degree over the cap,
+        which gives (self * other).truncate(cap)."""
         if isinstance(other, NcPoly):
             self._check(other)
             f = self.alg.field
             d: dict[Word, Scalar] = {}
+            right = other.terms
             for u, a in self.terms:
-                for v, b in other.terms:
+                if cap is not None:
+                    right = [t for t in other.terms if len(u) + len(t[0]) <= cap]
+                for v, b in right:
                     w = u + v
                     d[w] = f.add(d.get(w, 0), f.mul(a, b))
             return NcPoly(self.alg, d)

@@ -16,7 +16,7 @@ the three defect ranks are from the smallness regime those bounds forbid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -35,6 +35,9 @@ class ExactMatrix:
         rows = tuple(tuple(field.normalize(x) for x in row) for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
+        self._fill(field, rows)
+
+    def _fill(self, field: Field, rows: tuple[tuple[Scalar, ...], ...]) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
@@ -48,11 +51,7 @@ class ExactMatrix:
     def _raw(cls, field: Field, rows: tuple[tuple[Scalar, ...], ...]) -> "ExactMatrix":
         """Internal fast path: entries already normalized."""
         m = cls.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", len(rows))
-        object.__setattr__(m, "cols", len(rows[0]) if rows else 0)
-        object.__setattr__(m, "entries", rows)
-        object.__setattr__(m, "_rank", None)
+        m._fill(field, rows)
         return m
 
     @staticmethod
@@ -357,24 +356,12 @@ class DefectReport:
     regime_feasible: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "field": str(self.field),
-            "rank_x": self.rank_x,
-            "rank_z": self.rank_z,
-            "rank_yz": self.rank_yz,
-            "rank_t": self.rank_t,
-            "rank_s": self.rank_s,
-            "margin": self.margin,
-            "norm_x": str(self.norm_x),
-            "norm_z": str(self.norm_z),
-            "norm_yz": str(self.norm_yz),
-            "norm_t": str(self.norm_t),
-            "norm_s": str(self.norm_s),
-            "alpha_rank_cap": str(self.alpha_rank_cap),
-            "alpha_defect_floor": str(self.alpha_defect_floor),
-            "regime_feasible": self.regime_feasible,
-        }
+        """The fields in order, with the field and the fractions as strings."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = str(value) if isinstance(value, (Field, Fraction)) else value
+        return out
 
 
 def obstruction_probe(

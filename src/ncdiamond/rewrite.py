@@ -13,7 +13,6 @@ that run on normal forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from heapq import heapify, heappop, heappush
 
 from .fields import FieldError, Scalar
@@ -146,14 +145,6 @@ def reduce_once(p: NcPoly, sys: RewriteSystem) -> tuple[NcPoly, bool]:
     return p, False
 
 
-@cache
-def _descending_letters(letter_rank: tuple[int, ...]) -> dict[int, int]:
-    """A translation table under which (-len(w), w.translate(table)) sorts
-    words in descending deglex order: it reverses the rank of each letter."""
-    top = len(letter_rank) - 1
-    return {i: top - r for i, r in enumerate(letter_rank)}
-
-
 def _reduce(
     p: NcPoly, sys: RewriteSystem, max_steps: int, snapshots: list[NcPoly] | None = None
 ) -> NcPoly:
@@ -172,7 +163,7 @@ def _reduce(
     alg = sys.alg
     add = alg.field.add
     rules = sys.rules
-    desc = _descending_letters(alg.letter_rank)
+    desc = alg.descending_letters
     terms = dict(p.terms)
     heap = []
     for w in terms:
@@ -319,6 +310,18 @@ def check_confluence(sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -
     return ConfluenceReport(tuple(checks), all(c.resolvable for c in checks))
 
 
+def _unresolved(sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET):
+    """Yield (ambiguity, normal form of red_a - red_b) for each ambiguity
+    whose two reducts have different normal forms.  Normal forms are linear,
+    so these are the ambiguities :func:`check_confluence` reports
+    unresolvable, found without traces."""
+    for amb in find_ambiguities(sys):
+        red_a, red_b = ambiguity_reducts(sys, amb)
+        diff = normal_form(red_a - red_b, sys, max_steps)
+        if diff:
+            yield amb, diff
+
+
 @dataclass(frozen=True)
 class CompletionResult:
     completed: bool
@@ -345,11 +348,8 @@ def complete(
     added: list[RewriteRule] = []
     cur = sys
     while True:
-        for amb in find_ambiguities(cur):
-            red_a, red_b = ambiguity_reducts(cur, amb)
-            diff = normal_form(red_a - red_b, cur)
-            if diff:
-                break
+        for amb, diff in _unresolved(cur):
+            break
         else:
             return CompletionResult(True, cur, tuple(added))
         w, c = diff.leading_term()
@@ -520,7 +520,7 @@ def verify_lemma_witness(
     recovers_x = residual_x.is_zero()
     z_in_ideal = residual_z.is_zero()
     y_kills_z = annihilation.is_zero()
-    confluent = check_confluence(sys, max_steps).overall
+    confluent = next(_unresolved(sys, max_steps), None) is None
     nonzero = confluent and bool(nf_x) and bool(nf_z)
     return WitnessReport(
         residual_x,

@@ -29,7 +29,7 @@ from .ncpoly import FreeAlgebra, NcPoly, Word
 @dataclass(frozen=True)
 class TruncSeries:
     """A power series known up to degree ``cap``: a polynomial body with all
-    higher terms discarded on construction and after every product."""
+    higher terms discarded on construction, and never formed by a product."""
 
     body: NcPoly
     cap: int
@@ -74,7 +74,7 @@ class TruncSeries:
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
             self._check(other)
-            return TruncSeries(self.body * other.body, self.cap)
+            return TruncSeries(self.body.__mul__(other.body, self.cap), self.cap)
         return NotImplemented
 
     def scale(self, c: Scalar) -> "TruncSeries":

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -402,6 +403,23 @@ def test_console_entry_points():
         [sys.executable, "-c", wrapper, "--help"], capture_output=True, text=True
     )
     assert proc.returncode == 0 and "confluence" in proc.stdout
+
+
+def test_cli_quiet_when_reader_closes_early():
+    # like `confluence irving --pretty | head -1`, with the reader gone
+    # before the first write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ncdiamond", "confluence", "irving", "--pretty"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
 
 
 @pytest.mark.skipif(

@@ -8,6 +8,7 @@ from ncdiamond import (
     FieldError,
     FreeAlgebra,
     LemmaWitness,
+    NcPoly,
     QuotientCollapseError,
     RewriteRule,
     RewriteSystem,
@@ -71,6 +72,14 @@ def test_system_validation(alg_q):
     f7 = FreeAlgebra(Field.prime(7), ("x", "y"))
     with pytest.raises(FieldError):
         RewriteSystem(alg_q, (RewriteRule("\x00\x00", f7.parse("y")),))
+
+
+def test_words_outside_the_alphabet_rejected(alg_q):
+    # alg_q has letters 0 and 1; the letter with index 2 belongs to no generator
+    with pytest.raises(ValueError, match="letter index 2"):
+        NcPoly(alg_q, {"\x00\x02": 1})
+    with pytest.raises(ValueError, match="letter index 2"):
+        RewriteSystem(alg_q, (RewriteRule("\x02", alg_q.zero()),))
 
 
 # -- single steps and normal forms -----------------------------------------------------

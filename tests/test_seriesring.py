@@ -88,6 +88,20 @@ def test_series_product_commutes_with_truncation(alg, alg7):
             q = _random_poly_any(a, 5, sys_rng)
             lhs = TruncSeries(p, cap) * TruncSeries(q, cap)
             assert lhs == TruncSeries(p * q, cap)
+            assert p.__mul__(q, cap) == (p * q).truncate(cap)
+
+
+def test_series_product_forms_no_word_over_the_cap(alg, monkeypatch):
+    # x^3 * x^3 has degree 6 > 4: the series product multiplies no scalars,
+    # the plain product then truncated multiplies one pair
+    s = ts(alg, "x*x*x", 4)
+    mul = Field.mul
+    calls = []
+    monkeypatch.setattr(Field, "mul", lambda f, a, b: calls.append(1) or mul(f, a, b))
+    assert (s * s).is_zero()
+    assert calls == []
+    assert (s.body * s.body).truncate(4).is_zero()
+    assert calls == [1]
 
 
 def _random_poly_any(alg, max_deg, rng):
