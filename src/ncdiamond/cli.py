@@ -159,6 +159,11 @@ def _cmd_identity(args) -> int:
             "value": str(rep.counterexample.value),
         }
     details = {"holds": rep.holds, "trials": rep.trials, "counterexample": cex}
+    if not rep.holds and cex is None:
+        details["reason"] = (
+            "the rules are not confluent, so a nonzero normal form does not show "
+            "that the identity fails in the quotient"
+        )
     inputs = {
         "presentation": args.presentation,
         "trials": args.trials,

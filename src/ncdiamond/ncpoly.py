@@ -34,38 +34,29 @@ def word_indices(w: Word) -> tuple[int, ...]:
     return tuple(map(ord, w))
 
 
-def deglex_compare(u: Word, v: Word, letter_rank: tuple[int, ...] | None = None) -> int:
-    """Compare words by total degree, ties broken left-to-right by letter rank.
+def deglex_key(w: Word) -> tuple[int, Word]:
+    """Sort key for deglex: total degree, then left to right by generator
+    declaration order, which for chr-encoded words is native str order."""
+    return (len(w), w)
 
-    Returns -1, 0, or +1.  ``letter_rank[i]`` is the position of generator i
-    in the letter order; by default the declaration order is used, which for
-    the chr-encoded words coincides with native string comparison.
-    """
-    if len(u) != len(v):
-        return -1 if len(u) < len(v) else 1
-    if letter_rank is not None:
-        table = _rank_table(letter_rank)
-        u, v = u.translate(table), v.translate(table)
-    if u == v:
+
+def deglex_compare(u: Word, v: Word) -> int:
+    """Compare words under deglex; returns -1, 0, or +1."""
+    ku, kv = deglex_key(u), deglex_key(v)
+    if ku == kv:
         return 0
-    return -1 if u < v else 1
-
-
-def _rank_table(letter_rank: Iterable[int]) -> dict[int, int]:
-    """A str.translate table sending generator i to chr(letter_rank[i])."""
-    return dict(enumerate(letter_rank))
+    return -1 if ku < kv else 1
 
 
 @dataclass(frozen=True)
 class FreeAlgebra:
-    """A free associative algebra: a coefficient field, named generators, and
-    the letter order used by deglex (default: declaration order).
-    ``descending_letters`` reverses each letter's rank, so the key
+    """A free associative algebra: a coefficient field and named generators,
+    whose declaration order is the letter order of deglex.
+    ``descending_letters`` maps letter i to top - i, so the key
     (-len(w), w.translate(descending_letters)) sorts words descending."""
 
     field: Field
     gens: tuple[str, ...]
-    letter_rank: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         gens = tuple(self.gens)
@@ -77,14 +68,8 @@ class FreeAlgebra:
                 raise ValueError(f"generator name {name!r} is not an identifier")
         if len(set(gens)) != len(gens):
             raise ValueError("generator names must be distinct")
-        rank = tuple(self.letter_rank) if self.letter_rank else tuple(range(len(gens)))
-        if sorted(rank) != list(range(len(gens))):
-            raise ValueError("letter_rank must be a permutation of the generator indices")
-        object.__setattr__(self, "letter_rank", rank)
-        identity = rank == tuple(range(len(gens)))
-        object.__setattr__(self, "_trans", None if identity else _rank_table(rank))
         top = len(gens) - 1
-        object.__setattr__(self, "descending_letters", _rank_table(top - r for r in rank))
+        object.__setattr__(self, "descending_letters", {i: top - i for i in range(len(gens))})
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(gens)})
 
     # -- word helpers -----------------------------------------------------
@@ -98,20 +83,9 @@ class FreeAlgebra:
         except KeyError:
             raise ValueError(f"unknown generator {name!r}") from None
 
-    def deglex_key(self, w: Word):
-        if self._trans is None:
-            return (len(w), w)
-        return (len(w), w.translate(self._trans))
-
-    def deglex_cmp(self, u: Word, v: Word) -> int:
-        ku, kv = self.deglex_key(u), self.deglex_key(v)
-        if ku == kv:
-            return 0
-        return -1 if ku < kv else 1
-
     def sort_words(self, words: Iterable[Word]) -> list[Word]:
         """Words sorted ascending under deglex."""
-        return sorted(words, key=self.deglex_key)
+        return sorted(words, key=deglex_key)
 
     def word_str(self, w: Word) -> str:
         if not w:
@@ -119,9 +93,8 @@ class FreeAlgebra:
         return "*".join(self.gens[ord(c)] for c in w)
 
     def check_word(self, w: Word) -> None:
-        for c in w:
-            if ord(c) >= len(self.gens):
-                raise ValueError(f"word uses letter index {ord(c)}, alphabet has {len(self.gens)}")
+        if w and ord(max(w)) >= len(self.gens):
+            raise ValueError(f"word uses letter index {ord(max(w))}, alphabet has {len(self.gens)}")
 
     # -- polynomial constructors -------------------------------------------
 
@@ -170,7 +143,7 @@ class NcPoly:
         object.__setattr__(
             self,
             "terms",
-            tuple(sorted(canon.items(), key=lambda kv: alg.deglex_key(kv[0]), reverse=True)),
+            tuple(sorted(canon.items(), key=lambda kv: deglex_key(kv[0]), reverse=True)),
         )
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
@@ -444,12 +417,6 @@ class _Parser:
         raise ParseError("expected a scalar, a generator, or '('", pos)
 
 
-def parse_poly(
-    text: str,
-    generators: Iterable[str],
-    field: Field,
-    letter_rank: tuple[int, ...] | None = None,
-) -> NcPoly:
+def parse_poly(text: str, generators: Iterable[str], field: Field) -> NcPoly:
     """Parse an expression over the given generators into a polynomial."""
-    alg = FreeAlgebra(field, tuple(generators), letter_rank or ())
-    return alg.parse(text)
+    return FreeAlgebra(field, tuple(generators)).parse(text)

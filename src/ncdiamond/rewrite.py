@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .fields import FieldError, Scalar
-from .ncpoly import EMPTY_WORD, FreeAlgebra, NcPoly, Word
+from .ncpoly import EMPTY_WORD, FreeAlgebra, NcPoly, Word, deglex_compare
 from .seeding import rng_for
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -80,7 +80,7 @@ class RewriteSystem:
                 )
             seen.add(rule.lhs)
             for w, _ in rule.rhs.terms:
-                if self.alg.deglex_cmp(w, rule.lhs) < 0:
+                if deglex_compare(w, rule.lhs) < 0:
                     continue
                 if self.trunc is not None and len(w) > len(rule.lhs):
                     continue
@@ -94,9 +94,12 @@ class RewriteSystem:
         return RewriteSystem(self.alg, self.rules + (rule,), self.trunc)
 
 
-def _check_poly(p: NcPoly, sys: RewriteSystem) -> None:
+def _check_poly(p: NcPoly, sys: RewriteSystem) -> NcPoly:
+    """p as the engine takes it in: in truncated mode, less every word over
+    the cap (p itself when none is)."""
     if p.alg != sys.alg:
         raise FieldError("polynomial and rewrite system live in different algebras")
+    return p if sys.trunc is None else p.truncate(sys.trunc)
 
 
 def _leftmost_match(word: Word, rules: tuple[RewriteRule, ...]) -> tuple[int, int] | None:
@@ -130,8 +133,11 @@ def reduce_once(p: NcPoly, sys: RewriteSystem) -> tuple[NcPoly, bool]:
     """Apply one rewrite using the fixed strategy: take the deglex-greatest
     term whose word contains some lhs, rewrite its leftmost occurrence with
     the lowest-index matching rule.  Returns (result, True), or (p, False)
-    if p is already in normal form."""
-    _check_poly(p, sys)
+    if p is already in normal form.  In truncated mode a p with words over
+    the cap is not: its step drops them."""
+    q = _check_poly(p, sys)
+    if q is not p:
+        return q, True
     f = sys.alg.field
     for w, c in p.terms:  # stored descending, so greatest first
         hit = _leftmost_match(w, sys.rules)
@@ -157,14 +163,18 @@ def _reduce(
     polynomials appended to ``snapshots`` are its iteration.  A word whose
     coefficient cancelled to 0 leaves without a step.  In truncated mode a
     popped word may come back; it is then merged in and pushed again.
-    ``snapshots``, when given, starts as [p], and its last entry is returned.
+    ``snapshots``, when given, starts as [p], and its last entry is returned;
+    dropping p's words over the cap is a snapshot of its own, as in
+    reduce_once.
     """
-    _check_poly(p, sys)
+    q = _check_poly(p, sys)
+    if snapshots is not None and q is not p:
+        snapshots.append(q)
     alg = sys.alg
     add = alg.field.add
     rules = sys.rules
     desc = alg.descending_letters
-    terms = dict(p.terms)
+    terms = dict(q.terms)
     heap = []
     for w in terms:
         hit = _leftmost_match(w, rules)
@@ -372,8 +382,7 @@ def complete(
 
 def _normal_words_by_degree(sys: RewriteSystem, max_degree: int) -> list[list[Word]]:
     """levels[d] = the degree-d words avoiding every lhs, in deglex order."""
-    order = sorted(range(len(sys.alg.gens)), key=lambda i: sys.alg.letter_rank[i])
-    letters = [chr(i) for i in order]
+    letters = [chr(i) for i in range(len(sys.alg.gens))]
     lhss = [r.lhs for r in sys.rules]
     levels: list[list[Word]] = [[EMPTY_WORD]]
     for _ in range(max_degree):
@@ -426,6 +435,10 @@ class IdentityCounterexample:
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """``holds`` is False with no counterexample when a value reduced to a
+    nonzero normal form on rules that are not confluent: such a value need
+    not be nonzero in the quotient, so the run shows neither outcome."""
+
     holds: bool
     trials: int
     counterexample: IdentityCounterexample | None
@@ -458,13 +471,16 @@ def verify_identity_comm3(
 
     Draws per-trial RNGs from the seed, samples six random normal-word
     polynomials of degree <= max_deg each, and reduces the product.  Stops
-    at the first counterexample.
+    at the first nonzero value, a counterexample only if the rules are
+    confluent (a value that reduces to 0 is 0 on any rules).
     """
     for t in range(trials):
         rng = rng_for(seed, "comm3", t)
         subs = tuple(random_poly(sys, max_deg, rng) for _ in range(6))
         value = triple_commutator_nf(sys, subs)
         if value:
+            if next(_unresolved(sys), None) is not None:
+                return IdentityReport(False, trials, None)
             return IdentityReport(False, trials, IdentityCounterexample(t, subs, value))
     return IdentityReport(True, trials, None)
 

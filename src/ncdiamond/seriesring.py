@@ -81,6 +81,8 @@ class TruncSeries:
         return TruncSeries(self.body.scale(c), self.cap)
 
     def __pow__(self, k: int) -> "TruncSeries":
+        if not isinstance(k, int) or k < 0:
+            raise ValueError("series powers take a nonnegative integer")
         out = TruncSeries.one(self.alg, self.cap)
         for _ in range(k):
             out = out * self

@@ -19,9 +19,9 @@ from ncdiamond.ncpoly import Word
 # -- word order and rewriting -----------------------------------------------------
 
 
-def word_key(sys: RewriteSystem, w: Word) -> tuple[int, list[int]]:
-    """Deglex key built letter by letter from the declared ranks."""
-    return (len(w), [sys.alg.letter_rank[ord(c)] for c in w])
+def word_key(w: Word) -> tuple[int, list[int]]:
+    """Deglex key built letter by letter from the generator indices."""
+    return (len(w), [ord(c) for c in w])
 
 
 def contains_at(w: Word, factor: Word, pos: int) -> bool:
@@ -60,15 +60,16 @@ def apply_rewrite(
 
 
 def oracle_normal_form(p: NcPoly, sys: RewriteSystem, max_steps: int = 200_000) -> NcPoly:
-    """Literal restatement of the reduction contract: repeatedly rewrite the
+    """Literal restatement of the reduction contract: in truncated mode drop
+    every input word over the cap, then repeatedly rewrite the
     deglex-greatest reducible term at its leftmost redex with the lowest
     rule index, until no term is reducible."""
-    terms = {w: c for w, c in p.terms}
+    terms = {w: c for w, c in p.terms if sys.trunc is None or len(w) <= sys.trunc}
     for _ in range(max_steps):
         best_word = None
         for w in terms:
             if all_redexes(sys, w) and (
-                best_word is None or word_key(sys, w) > word_key(sys, best_word)
+                best_word is None or word_key(w) > word_key(best_word)
             ):
                 best_word = w
         if best_word is None:
@@ -111,7 +112,7 @@ def brute_normal_words(sys: RewriteSystem, degree: int) -> list[Word]:
         ):
             continue
         out.append(w)
-    out.sort(key=lambda w: word_key(sys, w))
+    out.sort(key=word_key)
     return out
 
 

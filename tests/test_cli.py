@@ -127,6 +127,17 @@ def test_witness_on_non_confluent_rules_is_not_nonzero(capsys, tmp_path):
 # -- identity ---------------------------------------------------------------------
 
 
+def test_identity_on_non_confluent_rules_is_no_counterexample(capsys, tmp_path):
+    # irving plus x*y -> 1 presents the zero ring, where every identity holds
+    f = tmp_path / "collapsed.pres"
+    f.write_text(COLLAPSED)
+    code, doc, _ = run_json(capsys, "identity", str(f), "--trials", "20", "--seed", "1")
+    assert code == 1 and doc["verdict"] is False
+    d = doc["details"]
+    assert d["holds"] is False and d["counterexample"] is None
+    assert "not confluent" in d["reason"]
+
+
 def test_identity_holds_with_seed(capsys):
     code, doc, _ = run_json(
         capsys, "identity", "irving", "--trials", "25", "--max-deg", "3", "--seed", "42"

@@ -220,6 +220,20 @@ def test_truncated_mode_discards_high_degree(alg_q):
     assert normal_form(alg_q.parse("x + y"), sys_) == alg_q.parse("y")
 
 
+def test_truncated_mode_discards_input_words_over_the_cap(alg_q):
+    # y*y*y is irreducible, but no word over cap 2 survives reduction
+    sys_ = RewriteSystem(
+        alg_q, (RewriteRule(alg_q.word_from_names("x"), alg_q.parse("y*y*y")),), trunc=2
+    )
+    for text, want in [("y*y*y", "0"), ("y*y*y + x", "0"), ("y*y*y + y", "y")]:
+        p, want = alg_q.parse(text), alg_q.parse(want)
+        assert normal_form(p, sys_) == reduction_trace(p, sys_)[-1] == want, text
+        assert oracles.oracle_normal_form(p, sys_) == want, text
+        assert reduce_once(p, sys_) == (p.truncate(2), True), text
+    p = alg_q.parse("y*y*y + y")
+    assert reduction_trace(p, sys_) == (p, alg_q.parse("y"))
+
+
 def truncated_system(alg, cap):
     """y*x -> x*y + 2*y^4 raises the degree; x*x -> y overlaps it in y*x*x."""
     rules = (

@@ -67,6 +67,13 @@ def test_series_arithmetic_frozen(alg):
     assert x2.scale(Fraction(1, 2)) == ts(alg, "1/2*x", 2)
 
 
+def test_series_power_takes_a_nonnegative_integer(alg):
+    x = ts(alg, "x", 3)
+    for k in (-2, 1.5):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            x**k
+
+
 def test_series_mismatch_errors(alg, alg7):
     a = ts(alg, "x", 3)
     with pytest.raises(ValueError):
