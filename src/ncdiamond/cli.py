@@ -26,6 +26,7 @@ from .ranklab import ExactMatrix, fuzz_bound_checks, obstruction_probe
 from .rewrite import (
     DEFAULT_STEP_BUDGET,
     StepBudgetExceeded,
+    _unresolved,
     check_confluence,
     normal_form,
     verify_identity_comm3,
@@ -84,7 +85,17 @@ def _series_algebra(args) -> FreeAlgebra:
 def _cmd_nf(args) -> int:
     pres = load_presentation(args.presentation)
     p = pres.alg.parse(args.expr)
-    print(normal_form(p, pres.system, args.max_steps))
+    value = normal_form(p, pres.system, args.max_steps)
+    print(value)
+    # reduction to 0 is sound on any rules; a nonzero value is canonical
+    # only when every ambiguity resolves
+    if value and next(_unresolved(pres.system, args.max_steps), None) is not None:
+        print(
+            "note: the rules are not confluent; the value printed is one reduct, "
+            "not a canonical form",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

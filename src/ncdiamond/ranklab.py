@@ -2,7 +2,10 @@
 
 Ranks are computed without floating point: fraction-free (Bareiss-style)
 integer elimination over the rationals after clearing denominators row by
-row, and ordinary Gaussian elimination on residues over a prime field.  On
+row, and Gaussian elimination on residues over a prime field with each row
+packed into one int.  Products clear denominators the same way over Q and
+pack rows into ints (Kronecker substitution) over F_p, so neither kernel
+loops over scalars entry by entry.  On
 top of exact_rank the module checks two universal rank inequalities for
 square matrices X, Y, Z, A, B with T := X - Y@X@A and S := Z - X@B:
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import lshift, mul
 from typing import Mapping, Sequence
 
 from .fields import Field, FieldError, Scalar
@@ -142,20 +146,29 @@ class ExactMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = list(zip(*other.entries))
-        if self.field.p is None:
+        p = self.field.p
+        if p is None:
+            # Clear denominators once per row of self and once per column of
+            # other; each entry is then one integer dot product and one Fraction.
+            left = [_cleared(row) for row in self.entries]
+            right = [_cleared(col) for col in zip(*other.entries)]
             out = tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
+                tuple(Fraction(sum(map(mul, row, col)), d * e) for col, e in right)
+                for row, d in left
             )
-            out = tuple(tuple(Fraction(x) for x in row) for row in out)
-        else:
-            p = self.field.p
-            out = tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
-                for row in self.entries
-            )
-        return ExactMatrix._raw(self.field, out)
+            return ExactMatrix._raw(self.field, out)
+        # Kronecker substitution: row j of other becomes one int with a field
+        # of `width` bits per column.  A field of a product row sums at most
+        # `cols` products below p^2, so no field carries into the next.
+        width = (self.cols * (p - 1) ** 2).bit_length() + 1
+        shifts = range(0, other.cols * width, width)
+        packed = [sum(map(lshift, row, shifts)) for row in other.entries]
+        mask = (1 << width) - 1
+        out = []
+        for row in self.entries:
+            v = sum(map(mul, row, packed))
+            out.append(tuple((v >> s & mask) % p for s in shifts))
+        return ExactMatrix._raw(self.field, tuple(out))
 
     def rank(self) -> int:
         if self._rank is None:
@@ -163,26 +176,36 @@ class ExactMatrix:
         return self._rank
 
 
-def _rank_mod(rows: list[list[int]], p: int) -> int:
-    """Gaussian elimination on residues; returns the number of pivots."""
+def _rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """Gaussian elimination on residues; returns the number of pivots.
+
+    Each row is packed into one int with a field of `width` bits per column
+    and eliminated as row += (p - f) * top, where top is the pivot row
+    reduced and scaled to a leading 1.  Fields are reduced mod p only when
+    read: each of at most m eliminations adds less than p^2 to a field, so
+    every field stays in [0, m * p^2) and never carries into the next.
+    """
     m = len(rows)
     if m == 0:
         return 0
     ncols = len(rows[0])
+    width = (m * p * p).bit_length() + 1
+    mask = (1 << width) - 1
+    shifts = range(0, ncols * width, width)
+    packed = [sum(map(lshift, row, shifts)) for row in rows]
     r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, m) if rows[i][col]), None)
+    for s in shifts:
+        piv = next((i for i in range(r, m) if (packed[i] >> s & mask) % p), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        top = [a * inv % p for a in rows[r]]
-        rows[r] = top
+        v = packed[piv]
+        packed[piv] = packed[r]
+        inv = pow((v >> s & mask) % p, p - 2, p)
+        top = sum((v >> t & mask) % p * inv % p << t for t in range(s, ncols * width, width))
         for i in range(r + 1, m):
-            f = rows[i][col]
+            f = (packed[i] >> s & mask) % p
             if f:
-                ri = rows[i]
-                rows[i] = [(a - f * b) % p for a, b in zip(ri, top)]
+                packed[i] += (p - f) * top
         r += 1
         if r == m:
             break
@@ -216,16 +239,18 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
     return r
 
 
+def _cleared(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers with the same ratios as the rationals v, and their divisor."""
+    d = math.lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
 def _compute_rank(M: ExactMatrix) -> int:
     if M.rows == 0 or M.cols == 0:
         return 0
     if M.field.p is not None:
-        return _rank_mod([list(row) for row in M.entries], M.field.p)
-    int_rows = []
-    for row in M.entries:
-        scale = math.lcm(*(x.denominator for x in row))
-        int_rows.append([x.numerator * (scale // x.denominator) for x in row])
-    return _rank_bareiss(int_rows)
+        return _rank_mod(M.entries, M.field.p)
+    return _rank_bareiss([_cleared(row)[0] for row in M.entries])
 
 
 def exact_rank(M: ExactMatrix) -> int:
@@ -317,11 +342,10 @@ def evaluate_poly(p: NcPoly, assignment: Mapping[str, ExactMatrix]) -> ExactMatr
         raise FieldError(
             f"assignment field {field} does not match coefficient field {alg.field}"
         )
-    ident = ExactMatrix.identity(field, n)
     total = ExactMatrix.zeros(field, n, n)
     for w, c in p.terms:
-        prod = ident
-        for ch in w:
+        prod = mats[ord(w[0])] if w else ExactMatrix.identity(field, n)
+        for ch in w[1:]:
             prod = prod @ mats[ord(ch)]
         total = total + prod.scale(c)
     return total

@@ -3,14 +3,15 @@
 Everything here is written for clarity, not speed, and deliberately avoids
 the package's internal algorithms: term selection scans with explicit loops
 and slice comparisons instead of str.find, ranks come from minor expansion
-or plain Fraction elimination instead of Bareiss/modular pivoting, subspaces
-over F_2 are enumerated as literal vector sets, and normal words come from a
-generate-and-filter pass instead of incremental suffix extension.
+or plain scalar-by-scalar elimination instead of Bareiss or packed modular
+elimination, products are summed entry by entry instead of over cleared
+denominators or packed rows, subspaces over F_2 are enumerated as literal
+vector sets, and normal words come from a generate-and-filter pass instead
+of incremental suffix extension.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, product
 
 from ncdiamond import ExactMatrix, Field, NcPoly, RewriteSystem
@@ -161,10 +162,26 @@ def rank_by_minors(M: ExactMatrix) -> int:
     return best
 
 
+def mat_mul(field: Field, A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    """Schoolbook product: every entry summed term by term with the field's
+    own add and mul."""
+    out = []
+    for i in range(A.rows):
+        row = []
+        for j in range(B.cols):
+            total = field.zero()
+            for k in range(A.cols):
+                total = field.add(total, field.mul(A.entries[i][k], B.entries[k][j]))
+            row.append(total)
+        out.append(row)
+    return ExactMatrix(field, out)
+
+
 def rank_fraction_gauss(M: ExactMatrix) -> int:
-    """Plain Fraction-arithmetic row reduction over the rationals."""
-    assert M.field.kind == "Q"
-    rows = [[Fraction(x) for x in row] for row in M.entries]
+    """Plain Gauss-Jordan row reduction with the field's own scalar
+    operations: Fraction arithmetic over Q, residues over F_p."""
+    f = M.field
+    rows = [list(row) for row in M.entries]
     rank = 0
     for col in range(M.cols):
         piv = None
@@ -176,11 +193,11 @@ def rank_fraction_gauss(M: ExactMatrix) -> int:
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
+        rows[rank] = [f.div(x, lead) for x in rows[rank]]
         for i in range(M.rows):
             if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+                c = rows[i][col]
+                rows[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
 

@@ -52,6 +52,24 @@ def test_nf_missing_presentation_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_nf_on_non_confluent_rules_flags_the_reduct(capsys):
+    code, out, err = run(capsys, "nf", "cohnsasiada", "x")
+    assert code == 1 and out == "x\n"
+    assert "not confluent" in err and "one reduct" in err
+    code, out, err = run(capsys, "nf", "cohnsasiada", "y*x*x*y - x")
+    assert (code, out, err) == (0, "0\n", "")
+
+
+def test_nf_on_collapsed_rules_flags_the_reduct(capsys, tmp_path):
+    # irving plus x*y -> 1 presents the zero ring, yet x stays irreducible
+    f = tmp_path / "collapsed.pres"
+    f.write_text(COLLAPSED)
+    code, out, err = run(capsys, "nf", str(f), "x")
+    assert code == 1 and out == "x\n" and "not confluent" in err
+    code, out, err = run(capsys, "nf", str(f), "x*x + x*y - 1")
+    assert (code, out, err) == (0, "0\n", "")
+
+
 def test_nf_step_budget_exits_1(capsys, tmp_path):
     f = tmp_path / "loop.pres"
     f.write_text("field Q\ngens x y\nrule y*x -> x*y\n")
