@@ -12,6 +12,7 @@ system RNG and recorded in the report, so any run can be replayed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -368,7 +369,10 @@ def _add_series_ring(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, and building it costs more than most commands."""
     parser = argparse.ArgumentParser(
         prog="ncdiamond",
         description=(

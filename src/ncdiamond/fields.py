@@ -122,9 +122,12 @@ class Field:
         return num * pow(d, self.p - 2, self.p) % self.p
 
     def normalize(self, value: Scalar) -> Scalar:
-        """Coerce ints (and, over Q, Fractions) into canonical scalar form."""
+        """Coerce ints (and, over Q, Fractions) into canonical scalar form.
+        A Fraction is always in lowest terms, so over Q it is returned as is."""
         if self.kind == "Q":
-            if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+            if isinstance(value, Fraction):
+                return value
+            if isinstance(value, int) and not isinstance(value, bool):
                 return Fraction(value)
             raise FieldError(f"cannot coerce {value!r} into Q")
         if isinstance(value, bool):

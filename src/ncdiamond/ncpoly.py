@@ -53,7 +53,8 @@ class FreeAlgebra:
     """A free associative algebra: a coefficient field and named generators,
     whose declaration order is the letter order of deglex.
     ``descending_letters`` maps letter i to top - i, so the key
-    (-len(w), w.translate(descending_letters)) sorts words descending."""
+    (-len(w), w.translate(descending_letters)) sorts words descending;
+    ``_word_names`` maps letter i to its name and a ``*``, for word_str."""
 
     field: Field
     gens: tuple[str, ...]
@@ -70,6 +71,7 @@ class FreeAlgebra:
             raise ValueError("generator names must be distinct")
         top = len(gens) - 1
         object.__setattr__(self, "descending_letters", {i: top - i for i in range(len(gens))})
+        object.__setattr__(self, "_word_names", {i: n + "*" for i, n in enumerate(gens)})
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(gens)})
 
     # -- word helpers -----------------------------------------------------
@@ -90,7 +92,7 @@ class FreeAlgebra:
     def word_str(self, w: Word) -> str:
         if not w:
             return "1"
-        return "*".join(self.gens[ord(c)] for c in w)
+        return w.translate(self._word_names)[:-1]
 
     def check_word(self, w: Word) -> None:
         if w and ord(max(w)) >= len(self.gens):
@@ -136,14 +138,28 @@ class NcPoly:
         if terms:
             for w, c in terms.items():
                 alg.check_word(w)
-                c = f.normalize(c)
-                if c != 0:
-                    canon[w] = c
+                canon[w] = f.normalize(c)
+        self._fill(alg, canon)
+
+    @classmethod
+    def _canonical(cls, alg: FreeAlgebra, terms: Mapping[Word, Scalar]) -> "NcPoly":
+        """The trusted constructor, for terms formed from polynomials of alg:
+        their words are in the alphabet and their coefficients canonical, so
+        it only drops zeros and sorts."""
+        self = object.__new__(cls)
+        self._fill(alg, terms)
+        return self
+
+    def _fill(self, alg: FreeAlgebra, terms: Mapping[Word, Scalar]) -> None:
         object.__setattr__(self, "alg", alg)
         object.__setattr__(
             self,
             "terms",
-            tuple(sorted(canon.items(), key=lambda kv: deglex_key(kv[0]), reverse=True)),
+            tuple(sorted(
+                ((w, c) for w, c in terms.items() if c != 0),
+                key=lambda kv: deglex_key(kv[0]),
+                reverse=True,
+            )),
         )
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
@@ -200,7 +216,7 @@ class NcPoly:
         d = dict(self.terms)
         for w, c in other.terms:
             d[w] = f.add(d.get(w, 0), c)
-        return NcPoly(self.alg, d)
+        return NcPoly._canonical(self.alg, d)
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
         if not isinstance(other, NcPoly):
@@ -209,12 +225,12 @@ class NcPoly:
 
     def __neg__(self) -> "NcPoly":
         f = self.alg.field
-        return NcPoly(self.alg, {w: f.neg(c) for w, c in self.terms})
+        return NcPoly._canonical(self.alg, {w: f.neg(c) for w, c in self.terms})
 
     def scale(self, c: Scalar) -> "NcPoly":
         f = self.alg.field
         c = f.normalize(c)
-        return NcPoly(self.alg, {w: f.mul(a, c) for w, a in self.terms})
+        return NcPoly._canonical(self.alg, {w: f.mul(a, c) for w, a in self.terms})
 
     def __mul__(self, other, cap: int | None = None):
         """The product; with a cap it forms no word of degree over the cap,
@@ -230,7 +246,7 @@ class NcPoly:
                 for v, b in right:
                     w = u + v
                     d[w] = f.add(d.get(w, 0), f.mul(a, b))
-            return NcPoly(self.alg, d)
+            return NcPoly._canonical(self.alg, d)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self.scale(other)
         return NotImplemented
@@ -251,7 +267,7 @@ class NcPoly:
     def truncate(self, cap: int) -> "NcPoly":
         """Drop every term of degree greater than cap."""
         if self.terms and len(self.terms[0][0]) > cap:
-            return NcPoly(self.alg, {w: c for w, c in self.terms if len(w) <= cap})
+            return NcPoly._canonical(self.alg, {w: c for w, c in self.terms if len(w) <= cap})
         return self
 
     # -- equality and rendering --------------------------------------------

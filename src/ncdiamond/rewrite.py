@@ -147,12 +147,16 @@ def reduce_once(p: NcPoly, sys: RewriteSystem) -> tuple[NcPoly, bool]:
         d = {u: a for u, a in p.terms if u != w}
         for nu, a in _splice(sys, w, pos, sys.rules[idx], c):
             d[nu] = f.add(d.get(nu, 0), a)
-        return NcPoly(sys.alg, d), True
+        return NcPoly._canonical(sys.alg, d), True
     return p, False
 
 
 def _reduce(
-    p: NcPoly, sys: RewriteSystem, max_steps: int, snapshots: list[NcPoly] | None = None
+    p: NcPoly,
+    sys: RewriteSystem,
+    max_steps: int,
+    snapshots: list[NcPoly] | None = None,
+    rewritten: list[Word] | None = None,
 ) -> NcPoly:
     """The one reduction loop behind normal_form and reduction_trace.
 
@@ -165,7 +169,8 @@ def _reduce(
     popped word may come back; it is then merged in and pushed again.
     ``snapshots``, when given, starts as [p], and its last entry is returned;
     dropping p's words over the cap is a snapshot of its own, as in
-    reduce_once.
+    reduce_once.  ``rewritten``, when given, receives each word rewritten
+    with a nonzero coefficient, in the order of the steps.
     """
     q = _check_poly(p, sys)
     if snapshots is not None and q is not p:
@@ -197,6 +202,8 @@ def _reduce(
             raise StepBudgetExceeded(
                 f"the step budget ran out after {max_steps} rewrites, before a normal form; {why}"
             )
+        if rewritten is not None:
+            rewritten.append(w)
         for u, a in _splice(sys, w, pos, rules[idx], c):
             if u in terms:
                 terms[u] = add(terms[u], a)
@@ -206,8 +213,8 @@ def _reduce(
                 if hit is not None:
                     heappush(heap, (-len(u), u.translate(desc), u, hit))
         if snapshots is not None:
-            snapshots.append(NcPoly(alg, terms))
-    return snapshots[-1] if snapshots else NcPoly(alg, terms)
+            snapshots.append(NcPoly._canonical(alg, terms))
+    return snapshots[-1] if snapshots else NcPoly._canonical(alg, terms)
 
 
 def normal_form(p: NcPoly, sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPoly:
@@ -245,29 +252,33 @@ class Ambiguity:
     offset: int
 
 
+def _pair_ambiguities(rules: tuple[RewriteRule, ...], a: int, b: int) -> list[Ambiguity]:
+    """The overlap and inclusion ambiguities of rule a with rule b, ordered
+    by offset."""
+    u, v = rules[a].lhs, rules[b].lhs
+    found: list[Ambiguity] = []
+    for k in range(1, min(len(u), len(v))):
+        if u[len(u) - k:] == v[:k]:
+            found.append(Ambiguity("overlap", a, b, u + v[k:], len(u) - k))
+    if a != b and len(v) < len(u):
+        start = 0
+        while True:
+            j = u.find(v, start)
+            if j < 0:
+                break
+            found.append(Ambiguity("inclusion", a, b, u, j))
+            start = j + 1
+    found.sort(key=lambda amb: amb.offset)
+    return found
+
+
 def find_ambiguities(sys: RewriteSystem) -> tuple[Ambiguity, ...]:
     """Enumerate every overlap and inclusion ambiguity, self-pairs included,
     ordered by (rule_a, rule_b, offset)."""
-    out: list[Ambiguity] = []
-    for a, ra in enumerate(sys.rules):
-        u = ra.lhs
-        for b, rb in enumerate(sys.rules):
-            v = rb.lhs
-            found: list[Ambiguity] = []
-            for k in range(1, min(len(u), len(v))):
-                if u[len(u) - k:] == v[:k]:
-                    found.append(Ambiguity("overlap", a, b, u + v[k:], len(u) - k))
-            if a != b and len(v) < len(u):
-                start = 0
-                while True:
-                    j = u.find(v, start)
-                    if j < 0:
-                        break
-                    found.append(Ambiguity("inclusion", a, b, u, j))
-                    start = j + 1
-            found.sort(key=lambda amb: amb.offset)
-            out.extend(found)
-    return tuple(out)
+    n = len(sys.rules)
+    return tuple(
+        amb for a in range(n) for b in range(n) for amb in _pair_ambiguities(sys.rules, a, b)
+    )
 
 
 def ambiguity_reducts(sys: RewriteSystem, amb: Ambiguity) -> tuple[NcPoly, NcPoly]:
@@ -276,8 +287,8 @@ def ambiguity_reducts(sys: RewriteSystem, amb: Ambiguity) -> tuple[NcPoly, NcPol
     one = sys.alg.field.one()
     ra, rb = sys.rules[amb.rule_a], sys.rules[amb.rule_b]
     return (
-        NcPoly(sys.alg, dict(_splice(sys, amb.word, 0, ra, one))),
-        NcPoly(sys.alg, dict(_splice(sys, amb.word, amb.offset, rb, one))),
+        NcPoly._canonical(sys.alg, dict(_splice(sys, amb.word, 0, ra, one))),
+        NcPoly._canonical(sys.alg, dict(_splice(sys, amb.word, amb.offset, rb, one))),
     )
 
 
@@ -332,6 +343,36 @@ def _unresolved(sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET):
             yield amb, diff
 
 
+def _first_unresolved(sys: RewriteSystem, pairs: list[list[list]]):
+    """The first (ambiguity, nonzero normal form of red_a - red_b) in
+    ``pairs`` order, or None when every ambiguity resolves.
+
+    ``pairs`` holds one entry [ambiguity, rule count, rewritten words] per
+    ambiguity, as :func:`complete` keeps them: the rule count is None until
+    the ambiguity resolves, and then the number of rules it was last known
+    to resolve under; the words its reduction rewrote are joined by a
+    non-letter.  A resolved entry is normalized again only if the lhs of a
+    rule added since occurs in one of those words; either way it is brought
+    up to the current rule count.
+    """
+    rules = sys.rules
+    n = len(rules)
+    sep = chr(len(sys.alg.gens))  # no letter, so no lhs spans two joined words
+    for row in pairs:
+        for entry in row:
+            amb, since, words = entry
+            if since is not None and not any(r.lhs in words for r in rules[since:]):
+                entry[1] = n
+                continue
+            red_a, red_b = ambiguity_reducts(sys, amb)
+            rewritten: list[Word] = []
+            diff = _reduce(red_a - red_b, sys, DEFAULT_STEP_BUDGET, rewritten=rewritten)
+            if diff:
+                return amb, diff
+            entry[1:] = n, sep.join(rewritten)
+    return None
+
+
 @dataclass(frozen=True)
 class CompletionResult:
     completed: bool
@@ -352,16 +393,33 @@ def complete(
     right-hand side is born fully reduced.  Stops with completed=False when
     a budget is hit, and raises :class:`QuotientCollapseError` if a critical
     pair normalizes to a nonzero scalar.
+
+    The ambiguities of each pair of rules are enumerated once, and a pair
+    that resolved is normalized again only when a rule added since can
+    rewrite one of the words its reduction rewrote.  Otherwise the larger
+    system makes the same rewrites in the same deglex order: a word that
+    only a new rule matches is popped with the coefficient it ended with, 0,
+    and skipped.  So every pass finds the same first unresolved ambiguity as
+    normalizing every pair again would.
     """
     if sys.trunc is not None:
         raise ValueError("completion runs in default (degree-nonincreasing) mode only")
     added: list[RewriteRule] = []
     cur = sys
+    pairs: list[list[list]] = []  # pairs[a]: the entries of rule a's ambiguities
     while True:
-        for amb, diff in _unresolved(cur):
-            break
-        else:
+        n, paired = len(cur.rules), len(pairs)
+        pairs += [[] for _ in range(paired, n)]
+        for a in range(n):
+            pairs[a] += (
+                [amb, None, ""]
+                for b in (range(paired, n) if a < paired else range(n))
+                for amb in _pair_ambiguities(cur.rules, a, b)
+            )
+        found = _first_unresolved(cur, pairs)
+        if found is None:
             return CompletionResult(True, cur, tuple(added))
+        amb, diff = found
         w, c = diff.leading_term()
         if w == EMPTY_WORD:
             raise QuotientCollapseError(

@@ -14,8 +14,46 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from ncdiamond import ExactMatrix, Field, NcPoly, RewriteSystem
-from ncdiamond.ncpoly import Word
+from ncdiamond import (
+    CompletionResult,
+    ExactMatrix,
+    Field,
+    NcPoly,
+    QuotientCollapseError,
+    RewriteRule,
+    RewriteSystem,
+    ambiguity_reducts,
+    find_ambiguities,
+    normal_form,
+)
+from ncdiamond.ncpoly import EMPTY_WORD, Word
+
+# -- polynomial arithmetic on plain dicts -------------------------------------------
+
+
+def dict_add(field: Field, a: dict[Word, object], b: dict[Word, object]) -> dict[Word, object]:
+    """Termwise sum, zero coefficients dropped."""
+    out = dict(a)
+    for w, c in b.items():
+        out[w] = field.add(out.get(w, field.zero()), c)
+    return {w: c for w, c in out.items() if c != 0}
+
+
+def dict_neg(field: Field, a: dict[Word, object]) -> dict[Word, object]:
+    return {w: field.neg(c) for w, c in a.items()}
+
+
+def dict_mul(
+    field: Field, a: dict[Word, object], b: dict[Word, object], cap: int | None = None
+) -> dict[Word, object]:
+    """Every product of a term of a with a term of b, summed one at a time;
+    with a cap, the words over it are dropped at the end."""
+    out: dict[Word, object] = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            out = dict_add(field, out, {u + v: field.mul(x, y)})
+    return {w: c for w, c in out.items() if cap is None or len(w) <= cap}
+
 
 # -- word order and rewriting -----------------------------------------------------
 
@@ -123,6 +161,38 @@ def oracle_comm3(sys: RewriteSystem, subs: tuple[NcPoly, ...]) -> NcPoly:
     x1, y1, x2, y2, x3, y3 = subs
     big = (x1 * y1 - y1 * x1) * (x2 * y2 - y2 * x2) * (x3 * y3 - y3 * x3)
     return oracle_normal_form(big, sys)
+
+
+def oracle_complete(
+    sys: RewriteSystem, max_new_rules: int = 64, max_degree: int = 64
+) -> CompletionResult:
+    """Completion that re-checks everything: every pass walks
+    find_ambiguities from the first pair and normalizes the difference of
+    each pair's reducts until one is nonzero, then orients it as
+    rewrite.complete does."""
+    added: list[RewriteRule] = []
+    cur = sys
+    while True:
+        for amb in find_ambiguities(cur):
+            red_a, red_b = ambiguity_reducts(cur, amb)
+            diff = normal_form(red_a - red_b, cur)
+            if diff:
+                break
+        else:
+            return CompletionResult(True, cur, tuple(added))
+        w, c = diff.leading_term()
+        if w == EMPTY_WORD:
+            raise QuotientCollapseError(
+                f"critical pair at {cur.alg.word_str(amb.word)} normalizes "
+                f"to the nonzero scalar {cur.alg.field.scalar_str(c)}: the quotient "
+                "collapses to the zero ring"
+            )
+        if len(added) >= max_new_rules or len(w) > max_degree:
+            return CompletionResult(False, cur, tuple(added))
+        rhs = cur.alg.monomial(w) - diff.scale(cur.alg.field.inv(c))
+        rule = RewriteRule(w, rhs)
+        added.append(rule)
+        cur = cur.with_rule(rule)
 
 
 # -- exact rank -------------------------------------------------------------------

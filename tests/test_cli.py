@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ncdiamond import __version__
-from ncdiamond.cli import main
+from ncdiamond.cli import build_parser, main
 
 TOP_KEYS = ["command", "inputs", "verdict", "details", "seed", "version"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -244,6 +244,28 @@ def test_out_of_range_counts_exit_2(capsys, argv, message):
 def test_fuzz_rank_bad_field_exits_2(capsys):
     code, _, err = run(capsys, "fuzz-rank", "--field", "Fp:6", "--trials", "1", "--seed", "1")
     assert code == 2 and "error:" in err
+
+
+def test_one_parser_serves_every_call(capsys):
+    # main reuses one parser; after runs, a usage error and --version it
+    # must answer as a freshly built parser does
+    calls = [
+        ["nf", "irving", "y*x*y + x*y*x"],
+        ["identity", "irving", "--trials", "0"],
+        ["confluence", "irving"],
+        ["--version"],
+        ["series", "quasi-inverse", "x + y*x", "--trunc", "3"],
+        ["nf", "irving", "x", "--max-steps", "-1"],
+        ["nf", "irving", "x"],
+    ]
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    reused = [run(capsys, *argv) for argv in calls]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 2, 0, 0, 0, 2, 0]
+    assert build_parser() is build_parser()
 
 
 # -- probe ------------------------------------------------------------------------

@@ -67,6 +67,8 @@ def test_scalar_construction_q():
     assert q.from_ratio(2, -4) == Fraction(-1, 2)
     assert q.normalize(5) == Fraction(5)
     assert q.normalize(Fraction(6, 4)) == Fraction(3, 2)
+    half = Fraction(1, 2)
+    assert q.normalize(half) is half
     with pytest.raises(FieldError):
         q.from_ratio(1, 0)
     with pytest.raises(FieldError):

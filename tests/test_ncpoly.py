@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ncdiamond import (
     EMPTY_WORD,
     Field,
@@ -227,6 +228,59 @@ def test_immutability_and_cross_algebra(alg_q, alg_f7):
 def test_word_validation(alg_q):
     with pytest.raises(ValueError):
         NcPoly(alg_q, {"\x05": Fraction(1)})
+    with pytest.raises(ValueError):
+        NcPoly(alg_q, {"\x00\x02": 1})
+    with pytest.raises(FieldError):
+        NcPoly(alg_q, {"\x00": 1.5})
+
+
+def random_canonical_dict(alg, rng, max_deg=4, max_terms=6):
+    """Words in the alphabet with canonical coefficients, the empty word and
+    zero coefficients included."""
+    f = alg.field
+    d = {EMPTY_WORD: f.random_scalar(rng)}
+    for _ in range(rng.randint(0, max_terms)):
+        w = "".join(chr(rng.randrange(len(alg.gens))) for _ in range(rng.randint(0, max_deg)))
+        d[w] = f.zero() if rng.random() < 0.3 else f.random_scalar(rng)
+    return d
+
+
+@pytest.mark.parametrize("which", ["Q", "F7"])
+def test_trusted_constructor_matches_checking_one(which, alg_q, alg_f7):
+    alg = alg_q if which == "Q" else alg_f7
+    for t in range(300):
+        d = random_canonical_dict(alg, rng_for(102, "canonical", which, t))
+        kept = dict(d)
+        p, checked = NcPoly._canonical(alg, d), NcPoly(alg, d)
+        assert p.terms == checked.terms and hash(p) == hash(checked)
+        assert [type(c) for _, c in p.terms] == [type(c) for _, c in checked.terms]
+        assert d == kept
+
+
+@pytest.mark.parametrize("which", ["Q", "F7"])
+def test_arithmetic_matches_dict_oracles(which, alg_q, alg_f7):
+    alg = alg_q if which == "Q" else alg_f7
+    f = alg.field
+    for t in range(200):
+        rng = rng_for(103, "dict-arith", which, t)
+        a, b = random_poly_dense(alg, rng), random_poly_dense(alg, rng)
+        da, db = a.as_dict(), b.as_dict()
+        assert (a + b) == NcPoly(alg, oracles.dict_add(f, da, db))
+        assert (a - b) == NcPoly(alg, oracles.dict_add(f, da, oracles.dict_neg(f, db)))
+        assert -a == NcPoly(alg, oracles.dict_neg(f, da))
+        assert a * b == NcPoly(alg, oracles.dict_mul(f, da, db))
+        for cap in range(6):
+            assert a.__mul__(b, cap) == NcPoly(alg, oracles.dict_mul(f, da, db, cap))
+
+
+def test_word_str_with_long_generator_names():
+    alg = FreeAlgebra(Field.rationals(), ("alpha", "b2", "x_1", "y"))
+    assert alg.word_str(EMPTY_WORD) == "1"
+    for t in range(100):
+        rng = rng_for(104, "word-str", t)
+        w = "".join(chr(rng.randrange(4)) for _ in range(rng.randint(1, 7)))
+        assert alg.word_str(w) == "*".join(alg.gens[ord(c)] for c in w)
+    assert str(alg.parse("2*alpha*b2 - x_1*y*alpha")) == "-x_1*y*alpha + 2*alpha*b2"
 
 
 def test_hash_consistency(alg_q):

@@ -393,6 +393,10 @@ SL2 = "field Q\ngens e f h\nrel h*e - e*h - 2*e\nrel h*f - f*h + 2*f\nrel e*f - 
 BRAID = "field Q\ngens x y\nrel y*x*y - x*y*x\n"
 S3_F7 = "field Fp 7\ngens a b\nrel a*a - 1\nrel b*b*b - 1\nrel a*b*a*b - 1\n"
 D4_F7 = "field Fp 7\ngens a b\nrel a*a - 1\nrel b*b*b*b - 1\nrel a*b*a*b - 1\n"
+# A4 and S4 with the relation a*a = 1 listed last: a completion that never
+# re-checks a resolved critical pair adds other rules on these
+A4_F7 = "field Fp 7\ngens a b\nrel b*b*b - 1\nrel a*b*a*b*a*b - 1\nrel a*a - 1\n"
+S4_F7 = "field Fp 7\ngens a b\nrel b*b*b - 1\nrel a*b*a*b*a*b*a*b - 1\nrel a*a - 1\n"
 
 
 def iterate_reduce_once(p, sys_):
@@ -455,14 +459,73 @@ def test_engine_matches_reduce_once_and_oracles(irving, cohnsasiada, alg_q):
             "b*a*b -> a", "b*b*b*a -> a*b", "b*b*a -> a*b*b", "a*b*b*b -> b*a",
             "b*b*b -> a*b*a",
         ]),
+        (A4_F7, 64, True, [
+            "a*b*a*b*a -> b*b",
+            "b*a*b*a*b -> a",
+            "a*b*a*b -> b*b*a",
+            "b*b*a*b*b -> a*b*a",
+            "b*a*b*a -> a*b*b",
+            "a*b*b*a -> b*a*b",
+        ]),
+        (S4_F7, 64, True, [
+            "a*b*a*b*a*b*a -> b*b",
+            "b*a*b*a*b*a*b -> a",
+            "a*b*a*b*a*b -> b*b*a",
+            "b*b*a*b*b -> a*b*a*b*a",
+            "b*a*b*a*b*a -> a*b*b",
+            "b*a*b*a*b -> a*b*b*a",
+            "a*b*a*b*b*a*b*a -> b*a*b*b*a*b",
+            "b*a*b*b*a*b*a -> a*b*a*b*b*a*b",
+        ]),
     ],
-    ids=["braid12", "s3-f7", "d4-f7"],
+    ids=["braid12", "s3-f7", "d4-f7", "a4-f7", "s4-f7"],
 )
 def test_complete_adds_the_same_rules(text, budget, completed, added):
-    # captured from the trace-based completion this engine replaced
+    # captured from earlier engines: braid, S3 and D4 from the trace-based
+    # completion, A4 and S4 from the loop that normalized every pair each pass
     res = complete(parse_presentation(text, "pres").system, max_new_rules=budget)
     assert res.completed == completed
     assert [str(r) for r in res.added] == added
+
+
+GROUP_RELATIONS = {
+    "s3": ("a*a", "b*b*b", "a*b*a*b"),
+    "d4": ("a*a", "b*b*b*b", "a*b*a*b"),
+    "d5": ("a*a", "b*b*b*b*b", "a*b*a*b"),
+    "a4": ("a*a", "b*b*b", "a*b*a*b*a*b"),
+    "s4": ("a*a", "b*b*b", "a*b*a*b*a*b*a*b"),
+}
+
+
+def completion_corpus():
+    for budget in range(6, 41):
+        yield pytest.param(BRAID, budget, id=f"braid{budget}")
+    for name, rels in GROUP_RELATIONS.items():
+        for k in range(len(rels)):
+            for gens in ("a b", "b a"):
+                lines = "".join(f"rel {w} - 1\n" for w in rels[k:] + rels[:k])
+                text = f"field Fp 7\ngens {gens}\n{lines}"
+                yield pytest.param(text, 64, id=f"{name}-f7-rot{k}-{gens[0]}first")
+    yield pytest.param(WEYL, 64, id="weyl")
+    yield pytest.param(SL2, 64, id="sl2")
+    yield pytest.param("field Q\ngens x y\nrule x*x -> y\n", 64, id="xx2y")
+    yield pytest.param("field Q\ngens x y\nrule x*y -> 0\nrule y*x -> 1\n", 64, id="collapse")
+
+
+def completion_outcome(fn, text, budget):
+    sys_ = parse_presentation(text, "pres").system
+    try:
+        res = fn(sys_, max_new_rules=budget)
+    except QuotientCollapseError as exc:
+        return "collapse", str(exc)
+    return res.completed, [str(r) for r in res.added]
+
+
+@pytest.mark.parametrize("text, budget", completion_corpus())
+def test_complete_matches_oracle(text, budget):
+    assert completion_outcome(complete, text, budget) == completion_outcome(
+        oracles.oracle_complete, text, budget
+    )
 
 
 # -- normal words --------------------------------------------------------------------
