@@ -9,10 +9,11 @@ point is used anywhere.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
 
 Scalar = Union[Fraction, int]
 
@@ -182,3 +183,11 @@ class Field:
         if self.p is None:
             return Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
         return rng.randrange(1, self.p)
+
+
+def _cleared(v: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integers with the same ratios as the rationals v, and their divisor:
+    the lcm of the denominators, so v[i] == ints[i] / divisor."""
+    ratios = [x.as_integer_ratio() for x in v]
+    d = math.lcm(*[q for _, q in ratios])
+    return [n * (d // q) for n, q in ratios], d

@@ -9,15 +9,22 @@ engine leans on heavily.
 Polynomials keep their terms sorted descending under the degree-then-lex
 order ("deglex"), so ``terms[0]`` is always the leading term and equal
 polynomials have identical storage.
+
+Products do not add Fractions term by term.  Each factor comes in as
+integer coefficients over one divisor (cleared numerators over Q, the
+residues over F_p), the products of term pairs are summed as plain ints,
+and each output word is decoded once: one Fraction over Q, one reduction
+mod p over F_p.  Truncated series and their matrices use the same loop.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .fields import Field, FieldError, Scalar
+from .fields import Field, FieldError, Scalar, _cleared
 
 Word = str
 
@@ -151,16 +158,13 @@ class NcPoly:
         return self
 
     def _fill(self, alg: FreeAlgebra, terms: Mapping[Word, Scalar]) -> None:
+        words = [w for w, c in terms.items() if c]
+        if len(words) > 1:
+            # deglex is (len, str): sort descending by str, then stably by len
+            words.sort(reverse=True)
+            words.sort(key=len, reverse=True)
         object.__setattr__(self, "alg", alg)
-        object.__setattr__(
-            self,
-            "terms",
-            tuple(sorted(
-                ((w, c) for w, c in terms.items() if c != 0),
-                key=lambda kv: deglex_key(kv[0]),
-                reverse=True,
-            )),
-        )
+        object.__setattr__(self, "terms", tuple([(w, terms[w]) for w in words]))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("NcPoly is immutable")
@@ -237,16 +241,8 @@ class NcPoly:
         which gives (self * other).truncate(cap)."""
         if isinstance(other, NcPoly):
             self._check(other)
-            f = self.alg.field
-            d: dict[Word, Scalar] = {}
-            right = other.terms
-            for u, a in self.terms:
-                if cap is not None:
-                    right = [t for t in other.terms if len(u) + len(t[0]) <= cap]
-                for v, b in right:
-                    w = u + v
-                    d[w] = f.add(d.get(w, 0), f.mul(a, b))
-            return NcPoly._canonical(self.alg, d)
+            (left, right), d = _int_terms((self, other))
+            return _product(self.alg, ((left, right),), d * d, cap)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self.scale(other)
         return NotImplemented
@@ -305,6 +301,48 @@ class NcPoly:
 
     def __repr__(self) -> str:
         return f"NcPoly({self} over {self.alg.field})"
+
+
+# -- the integer product ------------------------------------------------------
+
+
+def _int_terms(polys: Sequence[NcPoly]) -> tuple[list[Sequence[tuple[Word, int]]], int]:
+    """The terms of each polynomial with int coefficients over one shared
+    divisor: cleared numerators over Q, the residues themselves over F_p."""
+    if polys[0].alg.field.p is not None:
+        return [p.terms for p in polys], 1
+    nums, d = _cleared([c for p in polys for _, c in p.terms])
+    nums = iter(nums)
+    return [[(w, next(nums)) for w, _ in p.terms] for p in polys], d
+
+
+def _product(
+    alg: FreeAlgebra,
+    pairs: Iterable[tuple[Sequence[tuple[Word, int]], Sequence[tuple[Word, int]]]],
+    d: int,
+    cap: int | None,
+) -> NcPoly:
+    """The sum of left * right over pairs of int term lists, divided by d.
+
+    Every product of two terms is one int product added into a dict; with
+    a cap, no word over it is formed.  Each output word is decoded once:
+    Fraction(n, d) over Q, n % p over F_p (where d is 1)."""
+    acc: dict[Word, int] = {}
+    get = acc.get
+    for left, right in pairs:
+        if cap is not None:
+            # right is in term order, so its lengths never increase and the
+            # words of at most cap - len(u) letters are a suffix of it
+            neg_lens = [-len(v) for v, _ in right]
+        for u, a in left:
+            right_u = right if cap is None else right[bisect_left(neg_lens, len(u) - cap):]
+            for v, b in right_u:
+                w = u + v
+                acc[w] = get(w, 0) + a * b
+    p = alg.field.p
+    if p is None:
+        return NcPoly._canonical(alg, {w: Fraction(n, d) for w, n in acc.items() if n})
+    return NcPoly._canonical(alg, {w: n % p for w, n in acc.items()})
 
 
 # -- the expression parser ----------------------------------------------------

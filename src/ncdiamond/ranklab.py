@@ -18,13 +18,12 @@ the three defect ranks are from the smallness regime those bounds forbid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import lshift, mul
 from typing import Mapping, Sequence
 
-from .fields import Field, FieldError, Scalar
+from .fields import Field, FieldError, Scalar, _cleared
 from .ncpoly import NcPoly
 from .rewrite import LemmaWitness, RewriteSystem, verify_lemma_witness
 from .seeding import rng_for
@@ -237,12 +236,6 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
         if r == m:
             break
     return r
-
-
-def _cleared(v: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integers with the same ratios as the rationals v, and their divisor."""
-    d = math.lcm(*(x.denominator for x in v))
-    return [x.numerator * (d // x.denominator) for x in v], d
 
 
 def _compute_rank(M: ExactMatrix) -> int:

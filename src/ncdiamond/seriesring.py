@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import FieldError, Scalar
-from .ncpoly import FreeAlgebra, NcPoly, Word
+from .ncpoly import FreeAlgebra, NcPoly, Word, _int_terms, _product
 
 
 @dataclass(frozen=True)
@@ -405,17 +405,15 @@ class SeriesMatrix:
 
     def __matmul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check(other)
-        cols = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            new_row = []
-            for col in cols:
-                acc = row[0] * col[0]
-                for a, b in zip(row[1:], col[1:]):
-                    acc = acc + a * b
-                new_row.append(acc)
-            out.append(tuple(new_row))
-        return SeriesMatrix(tuple(out))
+        alg, cap = self.alg, self.cap
+        # Clear denominators once per row of self and once per column of
+        # other; each entry is then one integer sum over its inner product.
+        left = [_int_terms([e.body for e in row]) for row in self.entries]
+        right = [_int_terms([e.body for e in col]) for col in zip(*other.entries)]
+        return SeriesMatrix(tuple(
+            tuple(TruncSeries(_product(alg, zip(row, col), d * e, cap), cap) for col, e in right)
+            for row, d in left
+        ))
 
     def scale(self, c: Scalar) -> "SeriesMatrix":
         return SeriesMatrix(tuple(tuple(e.scale(c) for e in row) for row in self.entries))

@@ -36,3 +36,9 @@ def alg_q():
 @pytest.fixture(scope="session")
 def alg_f7():
     return FreeAlgebra(Field.prime(7), ("x", "y"))
+
+
+@pytest.fixture(scope="session")
+def alg_fbig():
+    """Over F_p with p = 2^61 - 1, where a product of residues is far past p."""
+    return FreeAlgebra(Field.prime((1 << 61) - 1), ("x", "y"))

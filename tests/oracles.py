@@ -12,6 +12,7 @@ of incremental suffix extension.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 from ncdiamond import (
@@ -29,6 +30,14 @@ from ncdiamond import (
 from ncdiamond.ncpoly import EMPTY_WORD, Word
 
 # -- polynomial arithmetic on plain dicts -------------------------------------------
+
+
+def is_canonical_scalar(field: Field, c: object) -> bool:
+    """A nonzero scalar in the field's own form: a Fraction over Q, an int
+    residue below p over F_p."""
+    if field.p is None:
+        return type(c) is Fraction and c != 0
+    return type(c) is int and 0 < c < field.p
 
 
 def dict_add(field: Field, a: dict[Word, object], b: dict[Word, object]) -> dict[Word, object]:

@@ -257,9 +257,9 @@ def test_trusted_constructor_matches_checking_one(which, alg_q, alg_f7):
         assert d == kept
 
 
-@pytest.mark.parametrize("which", ["Q", "F7"])
-def test_arithmetic_matches_dict_oracles(which, alg_q, alg_f7):
-    alg = alg_q if which == "Q" else alg_f7
+@pytest.mark.parametrize("which", ["Q", "F7", "F2^61-1"])
+def test_arithmetic_matches_dict_oracles(which, alg_q, alg_f7, alg_fbig):
+    alg = {"Q": alg_q, "F7": alg_f7}.get(which, alg_fbig)
     f = alg.field
     for t in range(200):
         rng = rng_for(103, "dict-arith", which, t)
@@ -268,9 +268,10 @@ def test_arithmetic_matches_dict_oracles(which, alg_q, alg_f7):
         assert (a + b) == NcPoly(alg, oracles.dict_add(f, da, db))
         assert (a - b) == NcPoly(alg, oracles.dict_add(f, da, oracles.dict_neg(f, db)))
         assert -a == NcPoly(alg, oracles.dict_neg(f, da))
-        assert a * b == NcPoly(alg, oracles.dict_mul(f, da, db))
-        for cap in range(6):
-            assert a.__mul__(b, cap) == NcPoly(alg, oracles.dict_mul(f, da, db, cap))
+        for cap in (None, *range(6)):
+            ab = a.__mul__(b, cap)
+            assert ab == NcPoly(alg, oracles.dict_mul(f, da, db, cap))
+            assert all(oracles.is_canonical_scalar(f, c) for _, c in ab.terms)
 
 
 def test_word_str_with_long_generator_names():

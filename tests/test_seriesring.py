@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from ncdiamond import (
     Field,
     FieldError,
@@ -98,17 +99,27 @@ def test_series_product_commutes_with_truncation(alg, alg7):
             assert p.__mul__(q, cap) == (p * q).truncate(cap)
 
 
-def test_series_product_forms_no_word_over_the_cap(alg, monkeypatch):
-    # x^3 * x^3 has degree 6 > 4: the series product multiplies no scalars,
-    # the plain product then truncated multiplies one pair
-    s = ts(alg, "x*x*x", 4)
-    mul = Field.mul
-    calls = []
-    monkeypatch.setattr(Field, "mul", lambda f, a, b: calls.append(1) or mul(f, a, b))
+def test_series_product_forms_no_word_over_the_cap(alg):
+    # x^3 * x^3 has degree 6 > 4: the series product forms no word from the
+    # pair, the plain product then truncated forms x^6 once.  The word's
+    # str subclass records every concatenation it heads, which is where a
+    # product turns a pair of terms into an output word.
+    formed = []
+
+    class SpyWord(str):
+        def __add__(self, other):
+            w = str.__add__(self, other)
+            formed.append(w)
+            return w
+
+    s = TruncSeries(alg.monomial(SpyWord("\x00" * 3)), 4)
     assert (s * s).is_zero()
-    assert calls == []
+    assert formed == []
     assert (s.body * s.body).truncate(4).is_zero()
-    assert calls == [1]
+    assert formed == ["\x00" * 6]
+    m = SeriesMatrix(((s,),))
+    assert (m @ m).is_zero()
+    assert formed == ["\x00" * 6]
 
 
 def _random_poly_any(alg, max_deg, rng):
@@ -366,6 +377,36 @@ def test_series_matrix_validation(alg, alg7):
         ident @ SeriesMatrix.identity(alg, 3, 3)
     with pytest.raises(ValueError):
         ident + SeriesMatrix.identity(alg, 2, 4)
+
+
+@pytest.mark.parametrize("which", ["Q", "F7", "F2^61-1"])
+def test_series_matrix_product_matches_entrywise_oracle(which, alg_q, alg_f7, alg_fbig):
+    # each entry of A @ B against the sum over k of the reference products
+    # of A[i][k] and B[k][j], added one at a time, with the cap applied
+    a = {"Q": alg_q, "F7": alg_f7}.get(which, alg_fbig)
+    f = a.field
+    for n in (1, 2, 3):
+        for cap in range(1, 7):
+            for t in range(3):
+                rng = rng_for(36, "matmul", which, n, cap, t)
+                A, B = (
+                    SeriesMatrix(tuple(
+                        tuple(random_series(a, cap, rng, min_degree=0) if rng.random() < 0.8
+                              else TruncSeries.zero(a, cap) for _ in range(n))
+                        for _ in range(n)))
+                    for _ in range(2)
+                )
+                AB = A @ B
+                assert AB.n == n and AB.cap == cap
+                for i in range(n):
+                    for j in range(n):
+                        want: dict = {}
+                        for k in range(n):
+                            want = oracles.dict_add(f, want, oracles.dict_mul(
+                                f, A.entries[i][k].body.as_dict(), B.entries[k][j].body.as_dict(), cap))
+                        got = AB.entries[i][j].body
+                        assert got.as_dict() == want
+                        assert all(oracles.is_canonical_scalar(f, c) for _, c in got.terms)
 
 
 def test_neumann_inverse_frozen(alg):
