@@ -219,7 +219,7 @@ class NcPoly:
         f = self.alg.field
         d = dict(self.terms)
         for w, c in other.terms:
-            d[w] = f.add(d.get(w, 0), c)
+            d[w] = f.add(d[w], c) if w in d else c
         return NcPoly._canonical(self.alg, d)
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
@@ -325,8 +325,7 @@ def _product(
     """The sum of left * right over pairs of int term lists, divided by d.
 
     Every product of two terms is one int product added into a dict; with
-    a cap, no word over it is formed.  Each output word is decoded once:
-    Fraction(n, d) over Q, n % p over F_p (where d is 1)."""
+    a cap, no word over it is formed.  Each output word is decoded once."""
     acc: dict[Word, int] = {}
     get = acc.get
     for left, right in pairs:
@@ -339,10 +338,17 @@ def _product(
             for v, b in right_u:
                 w = u + v
                 acc[w] = get(w, 0) + a * b
+    return _decoded(alg, acc.items(), d)
+
+
+def _decoded(alg: FreeAlgebra, terms: Iterable[tuple[Word, int]], d: int) -> NcPoly:
+    """The polynomial with coefficient n / d for each (word, n) of terms,
+    whose words are distinct: one Fraction(n, d) per nonzero word over Q,
+    n % p over F_p (where d is 1)."""
     p = alg.field.p
     if p is None:
-        return NcPoly._canonical(alg, {w: Fraction(n, d) for w, n in acc.items() if n})
-    return NcPoly._canonical(alg, {w: n % p for w, n in acc.items()})
+        return NcPoly._canonical(alg, {w: Fraction(n, d) for w, n in terms if n})
+    return NcPoly._canonical(alg, {w: n % p for w, n in terms})
 
 
 # -- the expression parser ----------------------------------------------------

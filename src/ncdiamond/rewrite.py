@@ -8,15 +8,25 @@ the overlap/inclusion ambiguity enumeration with per-ambiguity resolution
 traces, critical-pair completion, enumeration of the words avoiding every
 left-hand side, and the randomized polynomial-identity and witness checks
 that run on normal forms.
+
+Reduction adds no Fractions term by term.  Each rule's right side is
+cleared once, to (word, int) terms over one divisor; the terms being reduced
+are numerators over one common divisor over Q, which a step scales only when
+the rule's divisor does not divide its coefficient, and residues reduced at
+each add over F_p.  Each output word is decoded once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 
 from .fields import FieldError, Scalar
-from .ncpoly import EMPTY_WORD, FreeAlgebra, NcPoly, Word, deglex_compare
+from .ncpoly import (
+    EMPTY_WORD, FreeAlgebra, NcPoly, Word, _decoded, _int_terms, _product, deglex_compare,
+)
 from .seeding import rng_for
 
 DEFAULT_STEP_BUDGET = 1_000_000
@@ -40,10 +50,17 @@ class QuotientCollapseError(ValueError):
 class RewriteRule:
     """One oriented rule lhs -> rhs.  The lhs is a nonempty word; every word
     of the rhs is deglex-smaller than the lhs (or strictly longer, in
-    truncated mode)."""
+    truncated mode).  ``_int_rhs`` is the rhs cleared once, as (word, int)
+    terms and their divisor: the numerators over the lcm of the denominators
+    over Q, the residues over 1 over F_p; every system holding the rule
+    splices with it."""
 
     lhs: Word
     rhs: NcPoly
+
+    def __post_init__(self) -> None:
+        (terms,), e = _int_terms((self.rhs,))
+        object.__setattr__(self, "_int_rhs", (terms, e))
 
     def __str__(self) -> str:
         return f"{self.rhs.alg.word_str(self.lhs)} -> {self.rhs}"
@@ -113,19 +130,19 @@ def _leftmost_match(word: Word, rules: tuple[RewriteRule, ...]) -> tuple[int, in
     return best
 
 
-def _splice(
-    sys: RewriteSystem, word: Word, pos: int, rule: RewriteRule, c: Scalar
-) -> list[tuple[Word, Scalar]]:
-    """The terms of c * (pre * rule.rhs * post), where word = pre + rule.lhs +
-    post with rule.lhs at pos, less every word over the truncation cap.
-    Distinct rhs words splice to distinct words, so no two terms collide."""
+def _splice(sys: RewriteSystem, word: Word, pos: int, idx: int, c: int) -> list[tuple[Word, int]]:
+    """The int terms of c * (pre * rhs * post) over rule idx's divisor, where
+    word = pre + lhs + post with the rule's lhs at pos, less every word over
+    the truncation cap.  Distinct rhs words splice to distinct words, so no
+    two terms collide."""
+    rule = sys.rules[idx]
     pre, post = word[:pos], word[pos + len(rule.lhs):]
-    mul = sys.alg.field.mul
+    trunc = sys.trunc
     out = []
-    for u, a in rule.rhs.terms:
+    for u, m in rule._int_rhs[0]:
         nu = pre + u + post
-        if sys.trunc is None or len(nu) <= sys.trunc:
-            out.append((nu, mul(c, a)))
+        if trunc is None or len(nu) <= trunc:
+            out.append((nu, c * m))
     return out
 
 
@@ -144,9 +161,11 @@ def reduce_once(p: NcPoly, sys: RewriteSystem) -> tuple[NcPoly, bool]:
         if hit is None:
             continue
         pos, idx = hit
+        n, den = c.as_integer_ratio()
+        spliced = _decoded(sys.alg, _splice(sys, w, pos, idx, n), den * sys.rules[idx]._int_rhs[1])
         d = {u: a for u, a in p.terms if u != w}
-        for nu, a in _splice(sys, w, pos, sys.rules[idx], c):
-            d[nu] = f.add(d.get(nu, 0), a)
+        for nu, a in spliced.terms:
+            d[nu] = f.add(d[nu], a) if nu in d else a
         return NcPoly._canonical(sys.alg, d), True
     return p, False
 
@@ -160,13 +179,19 @@ def _reduce(
 ) -> NcPoly:
     """The one reduction loop behind normal_form and reduction_trace.
 
-    ``terms`` holds the current polynomial with equal words merged, and a
-    heap holds its reducible words, deglex-greatest first.  Each step pops
-    the greatest reducible word with its merged coefficient and rewrites its
-    leftmost match with the lowest-index rule: reduce_once's choice, so the
-    polynomials appended to ``snapshots`` are its iteration.  A word whose
-    coefficient cancelled to 0 leaves without a step.  In truncated mode a
-    popped word may come back; it is then merged in and pushed again.
+    ``terms`` holds the current polynomial with equal words merged, as plain
+    ints: numerators over one divisor ``D`` over Q (cleared from the input),
+    residues kept reduced mod p over F_p.  A heap holds its reducible words,
+    deglex-greatest first.  Each step pops the greatest reducible word with
+    its merged coefficient c and rewrites its leftmost match with the
+    lowest-index rule: reduce_once's choice, so the polynomials appended to
+    ``snapshots`` are its iteration.  The rule's right side is (word, m)
+    terms over its divisor e, so the step adds (c / g) * m per spliced word,
+    g = gcd(c, e); when e does not divide c, every term and D are first
+    scaled by e / g.  A word whose coefficient cancelled to 0 leaves without
+    a step.  In truncated mode a popped word may come back; it is then
+    merged in and pushed again.  Each output word is decoded once; over Q
+    the snapshots decode only the words each step touched.
     ``snapshots``, when given, starts as [p], and its last entry is returned;
     dropping p's words over the cap is a snapshot of its own, as in
     reduce_once.  ``rewritten``, when given, receives each word rewritten
@@ -176,10 +201,13 @@ def _reduce(
     if snapshots is not None and q is not p:
         snapshots.append(q)
     alg = sys.alg
-    add = alg.field.add
+    mod = alg.field.p
     rules = sys.rules
     desc = alg.descending_letters
-    terms = dict(q.terms)
+    (start,), D = _int_terms((q,))
+    terms = dict(start)
+    # what the snapshots read: the residues over F_p, decoded values over Q
+    shown = dict(q.terms) if snapshots is not None and mod is None else terms
     heap = []
     for w in terms:
         hit = _leftmost_match(w, rules)
@@ -204,17 +232,32 @@ def _reduce(
             )
         if rewritten is not None:
             rewritten.append(w)
-        for u, a in _splice(sys, w, pos, rules[idx], c):
+        e = rules[idx]._int_rhs[1]
+        if e != 1:
+            g = gcd(c, e)
+            if g != e:
+                s = e // g
+                D *= s
+                for u in terms:
+                    terms[u] *= s
+            c //= g
+        if shown is not terms:
+            shown.pop(w)
+        for u, a in _splice(sys, w, pos, idx, c):
             if u in terms:
-                terms[u] = add(terms[u], a)
+                a += terms[u]
             else:
-                terms[u] = a
                 hit = _leftmost_match(u, rules)
                 if hit is not None:
                     heappush(heap, (-len(u), u.translate(desc), u, hit))
+            terms[u] = a if mod is None else a % mod
+            if shown is not terms:
+                shown[u] = Fraction(a, D)
         if snapshots is not None:
-            snapshots.append(NcPoly._canonical(alg, terms))
-    return snapshots[-1] if snapshots else NcPoly._canonical(alg, terms)
+            snapshots.append(NcPoly._canonical(alg, shown))
+    if snapshots:
+        return snapshots[-1]
+    return _decoded(alg, terms.items(), D) if mod is None else NcPoly._canonical(alg, terms)
 
 
 def normal_form(p: NcPoly, sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPoly:
@@ -284,11 +327,10 @@ def find_ambiguities(sys: RewriteSystem) -> tuple[Ambiguity, ...]:
 def ambiguity_reducts(sys: RewriteSystem, amb: Ambiguity) -> tuple[NcPoly, NcPoly]:
     """The two one-step reducts of the ambiguity word: rule_a applied at
     position 0, rule_b applied at the stored offset."""
-    one = sys.alg.field.one()
-    ra, rb = sys.rules[amb.rule_a], sys.rules[amb.rule_b]
+    a, b = amb.rule_a, amb.rule_b
     return (
-        NcPoly._canonical(sys.alg, dict(_splice(sys, amb.word, 0, ra, one))),
-        NcPoly._canonical(sys.alg, dict(_splice(sys, amb.word, amb.offset, rb, one))),
+        _decoded(sys.alg, _splice(sys, amb.word, 0, a, 1), sys.rules[a]._int_rhs[1]),
+        _decoded(sys.alg, _splice(sys, amb.word, amb.offset, b, 1), sys.rules[b]._int_rhs[1]),
     )
 
 
@@ -511,13 +553,17 @@ def triple_commutator_nf(
 
     Factors are normalized as they are multiplied in; on a confluent system
     this equals reducing the expanded product, at a fraction of the cost.
+    Each x*y - y*x is one integer product run over the pairs (x, y), (-y, x).
     """
     if len(substitution) != 6:
         raise ValueError("the substitution names six polynomials X1,Y1,X2,Y2,X3,Y3")
     acc = sys.alg.one()
     for i in range(3):
         x, y = substitution[2 * i], substitution[2 * i + 1]
-        comm = normal_form(x * y - y * x, sys, max_steps)
+        x._check(y)
+        (xs, ys), d = _int_terms((x, y))
+        pairs = ((xs, ys), ([(w, -n) for w, n in ys], xs))
+        comm = normal_form(_product(x.alg, pairs, d * d, None), sys, max_steps)
         acc = normal_form(acc * comm, sys, max_steps)
     return acc
 

@@ -201,6 +201,17 @@ def test_weyl_large_normal_form(alg_q, k):
     assert got == alg_q.poly(want) and len(got.terms) == k + 1
 
 
+def test_weyl_half_large_normal_form(alg_q):
+    # y*x -> 1/2*x*y + 1/3 puts powers of 2 and 3 into every coefficient;
+    # the engine's common divisor must stay near their lcm for this to be fast
+    sys_ = make_system(alg_q, "y*x -> 1/2*x*y + 1/3")
+    x, y = alg_q.word_from_names("x"), alg_q.word_from_names("y")
+    p = alg_q.monomial(y * 24 + x * 24)
+    nf = normal_form(p, sys_)
+    assert nf == reduction_trace(p, sys_)[-1] == iterate_reduce_once(p, sys_)[-1]
+    assert len(nf.terms) == 25 and nf.terms[-1][0] == ""
+
+
 def test_truncated_mode_loop_hits_budget(alg_q):
     # x -> y*x*y (degree-raising, truncated mode) and y*x*y -> x loop forever
     rules = (
@@ -389,6 +400,11 @@ def test_complete_rejects_truncated_mode(alg_q):
 # -- the reduction engine against reduce_once ------------------------------------------
 
 WEYL = "field Q\ngens x y\nrule y*x -> x*y + 1\n"
+# rules whose right sides have a common denominator, so a step whose
+# coefficient the denominator does not divide rescales the engine's terms
+WEYL_HALF = "field Q\ngens x y\nrule y*x -> 1/2*x*y + 1/3\n"
+WEYL_REL3 = "field Q\ngens x y\nrel 3*y*x - x*y - 1\n"
+WEYL_REL3_F7 = "field Fp 7\ngens x y\nrel 3*y*x - x*y - 1\n"
 SL2 = "field Q\ngens e f h\nrel h*e - e*h - 2*e\nrel h*f - f*h + 2*f\nrel e*f - f*e - h\n"
 BRAID = "field Q\ngens x y\nrel y*x*y - x*y*x\n"
 S3_F7 = "field Fp 7\ngens a b\nrel a*a - 1\nrel b*b*b - 1\nrel a*b*a*b - 1\n"
@@ -420,25 +436,33 @@ def engine_inputs(sys_, tag, count, max_deg):
     return out
 
 
-def engine_systems(irving, cohnsasiada, alg_q):
+def engine_systems(irving, cohnsasiada, alg_q, alg_fbig):
     braid = parse_presentation(BRAID, "braid").system
     yield "irving", irving.system, True
     yield "cohnsasiada", cohnsasiada.system, False
     yield "weyl", parse_presentation(WEYL, "weyl").system, True
+    yield "weyl-half", parse_presentation(WEYL_HALF, "weyl-half").system, True
+    yield "weyl-rel3", parse_presentation(WEYL_REL3, "weyl-rel3").system, True
+    yield "weyl-rel3-f7", parse_presentation(WEYL_REL3_F7, "weyl-rel3-f7").system, True
+    # residues near 2^61: every product of two is far past p
+    yield "weyl-fbig", make_system(alg_fbig, "y*x -> 1/2*x*y + 1/3", "x*x*x -> 1/5"), False
     yield "sl2", parse_presentation(SL2, "sl2").system, True
     yield "braid12", complete(braid, max_new_rules=12).system, False
     for cap in (3, 4, 5, 6):
         yield f"trunc{cap}", truncated_system(alg_q, cap), False
 
 
-def test_engine_matches_reduce_once_and_oracles(irving, cohnsasiada, alg_q):
-    for tag, sys_, confluent in engine_systems(irving, cohnsasiada, alg_q):
+def test_engine_matches_reduce_once_and_oracles(irving, cohnsasiada, alg_q, alg_fbig):
+    for tag, sys_, confluent in engine_systems(irving, cohnsasiada, alg_q, alg_fbig):
         assert not confluent or check_confluence(sys_).overall, tag
+        f = sys_.alg.field
         for i, p in enumerate(engine_inputs(sys_, tag, 30, 5)):
             trace = reduction_trace(p, sys_)
             assert trace == iterate_reduce_once(p, sys_), (tag, i)
             nf = normal_form(p, sys_)
             assert nf == trace[-1] == oracles.oracle_normal_form(p, sys_), (tag, i)
+            assert all(oracles.is_canonical_scalar(f, c) for q in trace for _, c in q.terms)
+            assert all(oracles.is_canonical_scalar(f, c) for _, c in nf.terms)
             if confluent:
                 rng = rng_for(22, "engine-random", tag, i)
                 assert oracles.randomized_normal_form(p, sys_, rng) == nf, (tag, i)
