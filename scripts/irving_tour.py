@@ -7,7 +7,6 @@ import argparse
 import signal
 
 from ncdiamond import (
-    ambiguity_reducts,
     check_confluence,
     enumerate_normal_words,
     load_presentation,
@@ -36,11 +35,11 @@ def main() -> None:
     report = check_confluence(pres.system)
     for chk in report.checks:
         amb = chk.ambiguity
-        ra, rb = ambiguity_reducts(pres.system, amb)
         word = alg.word_str(amb.word)
         print(f"  {amb.kind} of rules {amb.rule_a},{amb.rule_b} in {word} (offset {amb.offset})")
-        print(f"    via rule {amb.rule_a} first: {' -> '.join(str(p) for p in (ra, *chk.trace_a[1:]))}")
-        print(f"    via rule {amb.rule_b} first: {' -> '.join(str(p) for p in (rb, *chk.trace_b[1:]))}")
+        # each trace starts at its one-step reduct
+        print(f"    via rule {amb.rule_a} first: {' -> '.join(map(str, chk.trace_a))}")
+        print(f"    via rule {amb.rule_b} first: {' -> '.join(map(str, chk.trace_b))}")
         print(f"    resolvable: {chk.resolvable}")
     print(f"  overall confluent: {report.overall}")
 

@@ -43,7 +43,6 @@ from .ranklab import (
     RankFuzzReport,
     claim_bound_check,
     evaluate_poly,
-    exact_rank,
     fuzz_bound_checks,
     image_intersection_dim,
     master_bound_check,
@@ -93,8 +92,6 @@ from .seriesring import (
     random_radical_matrix,
     random_s_ext,
     random_series,
-    rewrite_k_step,
-    s_ext_mul,
     stable_finiteness_probe,
 )
 
@@ -117,13 +114,11 @@ __all__ = [
     "CollapseReport", "CollapseStep", "FinitenessProbe", "SeriesMatrix",
     "SExtElement", "TruncSeries", "builtin_collapse_instance", "circle",
     "collapse_demo", "neumann_inverse", "quasi_inverse", "random_radical_matrix",
-    "random_s_ext", "random_series", "rewrite_k_step", "s_ext_mul",
-    "stable_finiteness_probe",
+    "random_s_ext", "random_series", "stable_finiteness_probe",
     # exact rank
     "BoundCheck", "DefectReport", "ExactMatrix", "MasterCheck", "RankFuzzReport",
-    "claim_bound_check", "evaluate_poly", "exact_rank", "fuzz_bound_checks",
-    "image_intersection_dim", "master_bound_check", "obstruction_probe",
-    "random_assignment", "random_matrix",
+    "claim_bound_check", "evaluate_poly", "fuzz_bound_checks", "image_intersection_dim",
+    "master_bound_check", "obstruction_probe", "random_assignment", "random_matrix",
     # presentations
     "Presentation", "PresentationError", "bundled_preset_names", "load_presentation",
     "parse_presentation",

@@ -27,7 +27,7 @@ from .ranklab import ExactMatrix, fuzz_bound_checks, obstruction_probe
 from .rewrite import (
     DEFAULT_STEP_BUDGET,
     StepBudgetExceeded,
-    _unresolved,
+    _confluent,
     check_confluence,
     normal_form,
     verify_identity_comm3,
@@ -87,10 +87,12 @@ def _cmd_nf(args) -> int:
     pres = load_presentation(args.presentation)
     p = pres.alg.parse(args.expr)
     value = normal_form(p, pres.system, args.max_steps)
-    print(value)
     # reduction to 0 is sound on any rules; a nonzero value is canonical
-    # only when every ambiguity resolves
-    if value and next(_unresolved(pres.system, args.max_steps), None) is not None:
+    # only when every ambiguity resolves, checked before printing so that
+    # a budget error leaves stdout empty
+    canonical = not value or _confluent(pres.system, args.max_steps)
+    print(value)
+    if not canonical:
         print(
             "note: the rules are not confluent; the value printed is one reduct, "
             "not a canonical form",

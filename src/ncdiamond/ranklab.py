@@ -5,9 +5,9 @@ integer elimination over the rationals after clearing denominators row by
 row, and Gaussian elimination on residues over a prime field with each row
 packed into one int.  Products clear denominators the same way over Q and
 pack rows into ints (Kronecker substitution) over F_p, so neither kernel
-loops over scalars entry by entry.  On
-top of exact_rank the module checks two universal rank inequalities for
-square matrices X, Y, Z, A, B with T := X - Y@X@A and S := Z - X@B:
+loops over scalars entry by entry; ``ExactMatrix.rank`` computes and
+caches a rank.  With it the module checks two universal rank inequalities
+for square matrices X, Y, Z, A, B with T := X - Y@X@A and S := Z - X@B:
 
   claim  bound:  rank(YX) <= rank(YZ) + rank(X) - rank(Z) + rank(S)
   master bound:  rank(Z)  <= rank(YZ) + rank(S) + rank(T)
@@ -244,11 +244,6 @@ def _compute_rank(M: ExactMatrix) -> int:
     if M.field.p is not None:
         return _rank_mod(M.entries, M.field.p)
     return _rank_bareiss([_cleared(row)[0] for row in M.entries])
-
-
-def exact_rank(M: ExactMatrix) -> int:
-    """The rank of M, computed exactly (no floating point anywhere)."""
-    return M.rank()
 
 
 def image_intersection_dim(X: ExactMatrix, Z: ExactMatrix) -> int:

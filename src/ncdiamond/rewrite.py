@@ -146,27 +146,26 @@ def _splice(sys: RewriteSystem, word: Word, pos: int, idx: int, c: int) -> list[
     return out
 
 
+def _spliced(sys: RewriteSystem, word: Word, pos: int, idx: int) -> NcPoly:
+    """pre * rhs * post, where word = pre + lhs + post with rule idx's lhs at
+    pos, less every word over the truncation cap."""
+    return _decoded(sys.alg, _splice(sys, word, pos, idx, 1), sys.rules[idx]._int_rhs[1])
+
+
 def reduce_once(p: NcPoly, sys: RewriteSystem) -> tuple[NcPoly, bool]:
     """Apply one rewrite using the fixed strategy: take the deglex-greatest
-    term whose word contains some lhs, rewrite its leftmost occurrence with
-    the lowest-index matching rule.  Returns (result, True), or (p, False)
-    if p is already in normal form.  In truncated mode a p with words over
-    the cap is not: its step drops them."""
+    term c*w whose word contains some lhs, rewrite its leftmost occurrence
+    with the lowest-index matching rule, giving p - c*w + c*(pre*rhs*post).
+    Returns (result, True), or (p, False) if p is already in normal form.
+    In truncated mode a p with words over the cap is not: its step drops
+    them."""
     q = _check_poly(p, sys)
     if q is not p:
         return q, True
-    f = sys.alg.field
     for w, c in p.terms:  # stored descending, so greatest first
         hit = _leftmost_match(w, sys.rules)
-        if hit is None:
-            continue
-        pos, idx = hit
-        n, den = c.as_integer_ratio()
-        spliced = _decoded(sys.alg, _splice(sys, w, pos, idx, n), den * sys.rules[idx]._int_rhs[1])
-        d = {u: a for u, a in p.terms if u != w}
-        for nu, a in spliced.terms:
-            d[nu] = f.add(d[nu], a) if nu in d else a
-        return NcPoly._canonical(sys.alg, d), True
+        if hit is not None:
+            return p - sys.alg.monomial(w, c) + _spliced(sys, w, *hit).scale(c), True
     return p, False
 
 
@@ -327,11 +326,7 @@ def find_ambiguities(sys: RewriteSystem) -> tuple[Ambiguity, ...]:
 def ambiguity_reducts(sys: RewriteSystem, amb: Ambiguity) -> tuple[NcPoly, NcPoly]:
     """The two one-step reducts of the ambiguity word: rule_a applied at
     position 0, rule_b applied at the stored offset."""
-    a, b = amb.rule_a, amb.rule_b
-    return (
-        _decoded(sys.alg, _splice(sys, amb.word, 0, a, 1), sys.rules[a]._int_rhs[1]),
-        _decoded(sys.alg, _splice(sys, amb.word, amb.offset, b, 1), sys.rules[b]._int_rhs[1]),
-    )
+    return _spliced(sys, amb.word, 0, amb.rule_a), _spliced(sys, amb.word, amb.offset, amb.rule_b)
 
 
 @dataclass(frozen=True)
@@ -373,21 +368,11 @@ def check_confluence(sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -
     return ConfluenceReport(tuple(checks), all(c.resolvable for c in checks))
 
 
-def _unresolved(sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET):
-    """Yield (ambiguity, normal form of red_a - red_b) for each ambiguity
-    whose two reducts have different normal forms.  Normal forms are linear,
-    so these are the ambiguities :func:`check_confluence` reports
-    unresolvable, found without traces."""
-    for amb in find_ambiguities(sys):
-        red_a, red_b = ambiguity_reducts(sys, amb)
-        diff = normal_form(red_a - red_b, sys, max_steps)
-        if diff:
-            yield amb, diff
-
-
-def _first_unresolved(sys: RewriteSystem, pairs: list[list[list]]):
+def _first_unresolved(sys: RewriteSystem, pairs: list[list[list]], max_steps: int):
     """The first (ambiguity, nonzero normal form of red_a - red_b) in
-    ``pairs`` order, or None when every ambiguity resolves.
+    ``pairs`` order, or None when every ambiguity resolves.  Normal forms
+    are linear, so these are the ambiguities :func:`check_confluence`
+    reports unresolvable, found without traces.
 
     ``pairs`` holds one entry [ambiguity, rule count, rewritten words] per
     ambiguity, as :func:`complete` keeps them: the rule count is None until
@@ -395,7 +380,7 @@ def _first_unresolved(sys: RewriteSystem, pairs: list[list[list]]):
     to resolve under; the words its reduction rewrote are joined by a
     non-letter.  A resolved entry is normalized again only if the lhs of a
     rule added since occurs in one of those words; either way it is brought
-    up to the current rule count.
+    up to the current rule count.  A budget error names the ambiguity word.
     """
     rules = sys.rules
     n = len(rules)
@@ -408,11 +393,23 @@ def _first_unresolved(sys: RewriteSystem, pairs: list[list[list]]):
                 continue
             red_a, red_b = ambiguity_reducts(sys, amb)
             rewritten: list[Word] = []
-            diff = _reduce(red_a - red_b, sys, DEFAULT_STEP_BUDGET, rewritten=rewritten)
+            try:
+                diff = _reduce(red_a - red_b, sys, max_steps, rewritten=rewritten)
+            except StepBudgetExceeded as exc:
+                raise StepBudgetExceeded(
+                    f"critical pair at {sys.alg.word_str(amb.word)}: {exc}"
+                ) from None
             if diff:
                 return amb, diff
             entry[1:] = n, sep.join(rewritten)
     return None
+
+
+def _confluent(sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -> bool:
+    """Whether every ambiguity resolves: :func:`_first_unresolved` over a
+    fresh table, so every critical pair is normalized."""
+    table = [[[amb, None, ""] for amb in find_ambiguities(sys)]]
+    return _first_unresolved(sys, table, max_steps) is None
 
 
 @dataclass(frozen=True)
@@ -458,7 +455,7 @@ def complete(
                 for b in (range(paired, n) if a < paired else range(n))
                 for amb in _pair_ambiguities(cur.rules, a, b)
             )
-        found = _first_unresolved(cur, pairs)
+        found = _first_unresolved(cur, pairs, DEFAULT_STEP_BUDGET)
         if found is None:
             return CompletionResult(True, cur, tuple(added))
         amb, diff = found
@@ -583,7 +580,7 @@ def verify_identity_comm3(
         subs = tuple(random_poly(sys, max_deg, rng) for _ in range(6))
         value = triple_commutator_nf(sys, subs)
         if value:
-            if next(_unresolved(sys), None) is not None:
+            if not _confluent(sys):
                 return IdentityReport(False, trials, None)
             return IdentityReport(False, trials, IdentityCounterexample(t, subs, value))
     return IdentityReport(True, trials, None)
@@ -631,6 +628,8 @@ class WitnessReport:
 def verify_lemma_witness(
     sys: RewriteSystem, w: LemmaWitness, max_steps: int = DEFAULT_STEP_BUDGET
 ) -> WitnessReport:
+    # first, so that a budget too small for the gate fails on its critical pair
+    confluent = _confluent(sys, max_steps)
     nf = lambda q: normal_form(q, sys, max_steps)
     residual_x = nf(w.x - w.y * w.x * w.a)
     residual_z = nf(w.z - w.x * w.b)
@@ -640,7 +639,6 @@ def verify_lemma_witness(
     recovers_x = residual_x.is_zero()
     z_in_ideal = residual_z.is_zero()
     y_kills_z = annihilation.is_zero()
-    confluent = next(_unresolved(sys, max_steps), None) is None
     nonzero = confluent and bool(nf_x) and bool(nf_z)
     return WitnessReport(
         residual_x,

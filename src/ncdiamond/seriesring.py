@@ -177,9 +177,15 @@ class SExtElement:
         return SExtElement(-self.s0, -self.s1)
 
     def __mul__(self, other):
-        if isinstance(other, SExtElement):
-            return s_ext_mul(self, other)
-        return NotImplemented
+        """(s0 + s1 z)(t0 + t1 z) = s0 t0 + (s0 t1 + gamma(t0) s1) z.
+
+        The gamma(t0) term is the scalar part of t acting from the right: z
+        times a scalar-free element vanishes, while z * (alpha + r) = alpha*z.
+        """
+        if not isinstance(other, SExtElement):
+            return NotImplemented
+        gamma = other.s0.constant_term()
+        return SExtElement(self.s0 * other.s0, self.s0 * other.s1 + self.s1.scale(gamma))
 
     def scale(self, c: Scalar) -> "SExtElement":
         return SExtElement(self.s0.scale(c), self.s1.scale(c))
@@ -196,29 +202,6 @@ class SExtElement:
 
     def __str__(self) -> str:
         return f"({self.s0}) + ({self.s1})*z"
-
-
-def s_ext_mul(s: SExtElement, t: SExtElement) -> SExtElement:
-    """(s0 + s1 z)(t0 + t1 z) = s0 t0 + (s0 t1 + gamma(t0) s1) z.
-
-    The gamma(t0) term is the scalar part of t acting from the right: z
-    times a scalar-free element vanishes, while z * (alpha + r) = alpha*z.
-    """
-    gamma = t.s0.constant_term()
-    return SExtElement(s.s0 * t.s0, s.s0 * t.s1 + s.s1.scale(gamma))
-
-
-def rewrite_k_step(
-    u: Sequence[SExtElement], v: Sequence[SExtElement]
-) -> tuple[Scalar, ...]:
-    """Extract the scalars alpha_i in sum u_i * (y*x*z) * v_i = (sum alpha_i
-    u_i^0 y) * x*z: each alpha_i is the scalar part of v_i's z-free
-    component, because z eats everything else on its right."""
-    if len(u) != len(v):
-        raise ValueError("u and v must have equal length")
-    for ui, vi in zip(u, v):
-        ui.s0._check(vi.s0)
-    return tuple(vi.scalar_part() for vi in v)
 
 
 @dataclass(frozen=True)
@@ -242,7 +225,9 @@ def collapse_demo(u: Sequence[SExtElement], v: Sequence[SExtElement]) -> Collaps
     """Replay the quasi-inverse collapse on concrete truncated data.
 
     Given u_i, v_i, the demo (1) collapses sum u_i (y x z) v_i to f * (x z)
-    with f = sum alpha_i u_i^0 y, (2) forms the quasi-inverse g of f and
+    with f = sum alpha_i u_i^0 y, where alpha_i, the report's ``coeffs``, is
+    the scalar part of v_i's z-free component, because z absorbs everything
+    on its right except that scalar, (2) forms the quasi-inverse g of f and
     checks g f = f + g exactly, (3) applies that identity to x z, and
     (4) records the resulting derivation: were x z itself equal to f (x z),
     then g(xz) = gf(xz) = (f+g)(xz) would force f(xz) = 0 and hence xz = 0.
@@ -264,7 +249,7 @@ def collapse_demo(u: Sequence[SExtElement], v: Sequence[SExtElement]) -> Collaps
     total = SExtElement.zero(alg, cap)
     for ui, vi in zip(u, v):
         total = total + ui * yxz * vi
-    coeffs = rewrite_k_step(u, v)
+    coeffs = tuple(vi.scalar_part() for vi in v)
 
     f = TruncSeries.zero(alg, cap)
     for alpha, ui in zip(coeffs, u):

@@ -77,6 +77,17 @@ def test_nf_step_budget_exits_1(capsys, tmp_path):
     assert code == 1 and "error:" in err
 
 
+def test_confluence_check_keeps_the_step_budget(capsys):
+    # x is its own normal form, but the check that makes it canonical
+    # normalizes the critical pair at y*x*y*x*y, which takes two steps
+    for steps in ("0", "1"):
+        code, out, err = run(capsys, "nf", "irving", "x", "--max-steps", steps)
+        assert (code, out) == (1, "") and "critical pair at y*x*y*x*y" in err
+    assert run(capsys, "nf", "irving", "x", "--max-steps", "2") == (0, "x\n", "")
+    code, out, err = run(capsys, "witness", "irving", "--max-steps", "1")
+    assert (code, out) == (1, "") and "critical pair at y*x*y*x*y" in err
+
+
 # -- confluence -------------------------------------------------------------------
 
 

@@ -27,6 +27,7 @@ from ncdiamond import (
     verify_identity_comm3,
     verify_lemma_witness,
 )
+from ncdiamond.rewrite import _confluent
 from ncdiamond.seeding import rng_for
 
 
@@ -550,6 +551,36 @@ def test_complete_matches_oracle(text, budget):
     assert completion_outcome(complete, text, budget) == completion_outcome(
         oracles.oracle_complete, text, budget
     )
+
+
+GATE_SAMPLE = (
+    "braid6", "braid12", "braid25", "s3-f7-rot0-afirst", "d4-f7-rot1-bfirst",
+    "d5-f7-rot2-afirst", "a4-f7-rot2-bfirst", "s4-f7-rot0-afirst", "weyl", "sl2",
+    "xx2y", "collapse",
+)
+
+
+def test_confluence_gate_matches_check_confluence(irving, cohnsasiada, alg_q, alg_fbig):
+    systems = [(tag, s) for tag, s, _ in engine_systems(irving, cohnsasiada, alg_q, alg_fbig)]
+    alg = irving.alg
+    collapsed = irving.system.with_rule(RewriteRule(alg.word_from_names("x", "y"), alg.one()))
+    systems.append(("collapsed", collapsed))
+    for param in completion_corpus():
+        if param.id in GATE_SAMPLE:
+            text, budget = param.values
+            sys_ = parse_presentation(text, param.id).system
+            systems.append((param.id, sys_))
+            try:
+                systems.append((param.id + "-completed", complete(sys_, budget).system))
+            except QuotientCollapseError:
+                pass
+    assert set(GATE_SAMPLE) <= {tag for tag, _ in systems}
+    verdicts = set()
+    for tag, sys_ in systems:
+        verdict = check_confluence(sys_).overall
+        assert _confluent(sys_) == verdict, tag
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # -- normal words --------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Smoke tests: each script in scripts/ runs to completion and prints its header."""
+"""Each script in scripts/ runs to completion, and its whole stdout matches
+tests/golden/script_<name>_<args>.out byte for byte."""
 
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def source_env() -> dict:
@@ -26,6 +28,11 @@ def source_env() -> dict:
             ["--sizes", "3", "--trials", "3"],
             "== margin sweep over Fp:101, 3 trials per size, seed 0 ==",
         ),
+        (
+            "collapse_walkthrough.py",
+            ["--random", "--pairs", "3", "--seed", "5"],
+            "== collapse replay over Q, cap 6, 3 pair(s) ==",
+        ),
     ],
 )
 def test_script_runs(script, args, header):
@@ -37,6 +44,8 @@ def test_script_runs(script, args, header):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == header
+    name = "_".join([Path(script).stem, *(a.lstrip("-") for a in args)])
+    assert proc.stdout == (GOLDEN / f"script_{name}.out").read_text()
 
 
 def test_script_quiet_when_reader_closes_early():

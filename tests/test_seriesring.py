@@ -17,8 +17,6 @@ from ncdiamond import (
     random_radical_matrix,
     random_s_ext,
     random_series,
-    rewrite_k_step,
-    s_ext_mul,
     stable_finiteness_probe,
 )
 from ncdiamond.seeding import rng_for
@@ -204,12 +202,14 @@ def test_z_calculus(alg):
     assert (unit_plus * z).s0.is_zero()
 
 
-def test_s_ext_mul_matches_operator(alg):
+def test_s_ext_product_matches_formula(alg):
+    # (s0 + s1 z)(t0 + t1 z) = s0 t0 + (s0 t1 + gamma(t0) s1) z
     rng = rng_for(25, "sextmul")
     for _ in range(20):
         s = random_s_ext(alg, 3, rng)
         t = random_s_ext(alg, 3, rng)
-        assert s * t == s_ext_mul(s, t)
+        gamma = t.s0.constant_term()
+        assert s * t == SExtElement(s.s0 * t.s0, s.s0 * t.s1 + s.s1.scale(gamma))
 
 
 def test_from_ring_and_projection_are_homomorphisms(alg):
@@ -252,18 +252,21 @@ def test_s_ext_mismatch_errors(alg, alg7):
 # -- the collapse replay ---------------------------------------------------------------
 
 
-def test_rewrite_k_step_scalars(alg):
+def test_collapse_demo_scalars(alg):
     cap = 4
     one = SExtElement.from_ring(TruncSeries.one(alg, cap))
     v_scalar = SExtElement.from_ring(ts(alg, "2 + y", cap))
     v_free = SExtElement.from_ring(ts(alg, "x", cap))
-    assert rewrite_k_step((one,), (one,)) == (1,)
-    assert rewrite_k_step((one, one), (v_scalar, v_free)) == (2, 0)
+    assert collapse_demo((one,), (one,)).coeffs == (1,)
+    assert collapse_demo((one, one), (v_scalar, v_free)).coeffs == (2, 0)
     with pytest.raises(ValueError):
-        rewrite_k_step((one,), (one, one))
+        collapse_demo((one,), (one, one))
+    # every product checks its operands, so mismatched pairs are refused too
+    with pytest.raises(ValueError, match="caps differ"):
+        collapse_demo((one,), (SExtElement.from_ring(TruncSeries.one(alg, cap + 1)),))
 
 
-def test_rewrite_k_step_reproduces_collapse_identity(alg):
+def test_collapse_demo_coeffs_reproduce_collapse_identity(alg):
     # sum u_i*(y*x*z)*v_i really equals (sum alpha_i*u_i^0*y) * (x*z)
     cap = 5
     x, y = ts(alg, "x", cap), ts(alg, "y", cap)
@@ -278,7 +281,7 @@ def test_rewrite_k_step_reproduces_collapse_identity(alg):
         total = SExtElement.zero(alg, cap)
         for ui, vi in zip(u, v):
             total = total + ui * yxz * vi
-        alphas = rewrite_k_step(u, v)
+        alphas = collapse_demo(u, v).coeffs
         f = TruncSeries.zero(alg, cap)
         for alpha, ui in zip(alphas, u):
             f = f + (ui.s0 * y).scale(alpha)
