@@ -65,6 +65,11 @@ def main() -> None:
     idrep = verify_identity_comm3(pres.system, args.trials, args.max_deg, args.seed)
     if idrep.holds:
         print(f"  holds on all {idrep.trials} trials (seed {args.seed})")
+    elif idrep.counterexample is None:
+        print(
+            "  undecided: the rules are not confluent, so a nonzero normal form does not "
+            "show that the identity fails in the quotient"
+        )
     else:
         cex = idrep.counterexample
         print(f"  FAILS at trial {cex.trial}: value {cex.value}")

@@ -109,6 +109,9 @@ def _cmd_confluence(args) -> int:
     ambiguities = []
     for chk in report.checks:
         amb = chk.ambiguity
+        # each trace ends in its normal form, so that is its last string
+        trace_a = [str(p) for p in chk.trace_a]
+        trace_b = [str(p) for p in chk.trace_b]
         ambiguities.append(
             {
                 "kind": amb.kind,
@@ -117,10 +120,10 @@ def _cmd_confluence(args) -> int:
                 "word": alg.word_str(amb.word),
                 "offset": amb.offset,
                 "resolvable": chk.resolvable,
-                "trace_a": [str(p) for p in chk.trace_a],
-                "trace_b": [str(p) for p in chk.trace_b],
-                "normal_form_a": str(chk.normal_form_a),
-                "normal_form_b": str(chk.normal_form_b),
+                "trace_a": trace_a,
+                "trace_b": trace_b,
+                "normal_form_a": trace_a[-1],
+                "normal_form_b": trace_b[-1],
             }
         )
     details = {

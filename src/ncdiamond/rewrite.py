@@ -13,7 +13,8 @@ Reduction adds no Fractions term by term.  Each rule's right side is
 cleared once, to (word, int) terms over one divisor; the terms being reduced
 are numerators over one common divisor over Q, which a step scales only when
 the rule's divisor does not divide its coefficient, and residues reduced at
-each add over F_p.  Each output word is decoded once.
+each add over F_p.  Each output word is decoded once.  Critical pairs enter
+the loop as the int terms their splices make, never as decoded reducts.
 """
 
 from __future__ import annotations
@@ -170,43 +171,53 @@ def reduce_once(p: NcPoly, sys: RewriteSystem) -> tuple[NcPoly, bool]:
 
 
 def _reduce(
-    p: NcPoly,
+    p: NcPoly, sys: RewriteSystem, max_steps: int, snapshots: list[NcPoly] | None = None
+) -> NcPoly:
+    """Normalize p with :func:`_reduce_terms`, after clearing it to int
+    terms.  ``snapshots``, when given, starts as [p]; dropping p's words over
+    the cap is a snapshot of its own, as in reduce_once."""
+    q = _check_poly(p, sys)
+    if snapshots is not None and q is not p:
+        snapshots.append(q)
+    (start,), D = _int_terms((q,))
+    return _reduce_terms(dict(start), D, sys, max_steps, snapshots)
+
+
+def _reduce_terms(
+    terms: dict[Word, int],
+    D: int,
     sys: RewriteSystem,
     max_steps: int,
     snapshots: list[NcPoly] | None = None,
     rewritten: list[Word] | None = None,
 ) -> NcPoly:
-    """The one reduction loop behind normal_form and reduction_trace.
+    """The one reduction loop behind normal_form, reduction_trace and the
+    critical pairs.
 
-    ``terms`` holds the current polynomial with equal words merged, as plain
-    ints: numerators over one divisor ``D`` over Q (cleared from the input),
-    residues kept reduced mod p over F_p.  A heap holds its reducible words,
+    ``terms`` holds the polynomial being reduced, with equal words merged
+    and no word over the cap, as plain ints: numerators over the divisor
+    ``D`` over Q, residues reduced mod p over F_p (where D is 1).  It may
+    hold words with coefficient 0.  A heap holds its reducible words,
     deglex-greatest first.  Each step pops the greatest reducible word with
     its merged coefficient c and rewrites its leftmost match with the
     lowest-index rule: reduce_once's choice, so the polynomials appended to
     ``snapshots`` are its iteration.  The rule's right side is (word, m)
     terms over its divisor e, so the step adds (c / g) * m per spliced word,
     g = gcd(c, e); when e does not divide c, every term and D are first
-    scaled by e / g.  A word whose coefficient cancelled to 0 leaves without
-    a step.  In truncated mode a popped word may come back; it is then
-    merged in and pushed again.  Each output word is decoded once; over Q
-    the snapshots decode only the words each step touched.
-    ``snapshots``, when given, starts as [p], and its last entry is returned;
-    dropping p's words over the cap is a snapshot of its own, as in
-    reduce_once.  ``rewritten``, when given, receives each word rewritten
-    with a nonzero coefficient, in the order of the steps.
+    scaled by e / g.  A word whose coefficient is 0 leaves without a step.
+    In truncated mode a popped word may come back; it is then merged in and
+    pushed again.  Each output word is decoded once; over Q the snapshots
+    decode only the words each step touched.  ``snapshots``, when given,
+    ends with the polynomial ``terms`` holds, and its last entry is
+    returned.  ``rewritten``, when given, receives each word rewritten with
+    a nonzero coefficient, in the order of the steps.
     """
-    q = _check_poly(p, sys)
-    if snapshots is not None and q is not p:
-        snapshots.append(q)
     alg = sys.alg
     mod = alg.field.p
     rules = sys.rules
     desc = alg.descending_letters
-    (start,), D = _int_terms((q,))
-    terms = dict(start)
     # what the snapshots read: the residues over F_p, decoded values over Q
-    shown = dict(q.terms) if snapshots is not None and mod is None else terms
+    shown = dict(snapshots[-1].terms) if snapshots is not None and mod is None else terms
     heap = []
     for w in terms:
         hit = _leftmost_match(w, rules)
@@ -355,16 +366,27 @@ def check_confluence(sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -
     """Reduce both sides of every ambiguity and compare normal forms.
 
     Each check records the full reduction trace of each one-step reduct, so
-    a report is also a human-readable resolution certificate.
+    a report is also a human-readable resolution certificate.  A budget
+    error names the ambiguity word.
     """
     checks = []
     for amb in find_ambiguities(sys):
-        red_a, red_b = ambiguity_reducts(sys, amb)
-        trace_a = reduction_trace(red_a, sys, max_steps)
-        trace_b = reduction_trace(red_b, sys, max_steps)
-        checks.append(
-            AmbiguityCheck(amb, trace_a[-1] == trace_b[-1], trace_a, trace_b)
-        )
+        traces = []
+        for pos, idx in ((0, amb.rule_a), (amb.offset, amb.rule_b)):
+            # each trace is reduction_trace of the ambiguity_reducts side,
+            # its loop started from the splice that side decodes
+            spliced = _splice(sys, amb.word, pos, idx, 1)
+            e = sys.rules[idx]._int_rhs[1]
+            trace = [_decoded(sys.alg, spliced, e)]
+            try:
+                _reduce_terms(dict(spliced), e, sys, max_steps, trace)
+            except StepBudgetExceeded as exc:
+                raise StepBudgetExceeded(
+                    f"critical pair at {sys.alg.word_str(amb.word)}: {exc}"
+                ) from None
+            traces.append(tuple(trace))
+        trace_a, trace_b = traces
+        checks.append(AmbiguityCheck(amb, trace_a[-1] == trace_b[-1], trace_a, trace_b))
     return ConfluenceReport(tuple(checks), all(c.resolvable for c in checks))
 
 
@@ -381,9 +403,15 @@ def _first_unresolved(sys: RewriteSystem, pairs: list[list[list]], max_steps: in
     non-letter.  A resolved entry is normalized again only if the lhs of a
     rule added since occurs in one of those words; either way it is brought
     up to the current rule count.  A budget error names the ambiguity word.
+
+    The loop starts from red_a - red_b as int terms: rule a's splice at 0
+    and rule b's at the offset, scaled to numerators over e_a * e_b, the
+    product of their divisors, and reduced mod p over F_p.  A word on which
+    the reducts cancel enters with coefficient 0 and leaves without a step.
     """
     rules = sys.rules
     n = len(rules)
+    mod = sys.alg.field.p
     sep = chr(len(sys.alg.gens))  # no letter, so no lhs spans two joined words
     for row in pairs:
         for entry in row:
@@ -391,10 +419,14 @@ def _first_unresolved(sys: RewriteSystem, pairs: list[list[list]], max_steps: in
             if since is not None and not any(r.lhs in words for r in rules[since:]):
                 entry[1] = n
                 continue
-            red_a, red_b = ambiguity_reducts(sys, amb)
+            e_a, e_b = rules[amb.rule_a]._int_rhs[1], rules[amb.rule_b]._int_rhs[1]
+            terms = dict(_splice(sys, amb.word, 0, amb.rule_a, e_b))
+            for u, m in _splice(sys, amb.word, amb.offset, amb.rule_b, -e_a):
+                m += terms.get(u, 0)
+                terms[u] = m if mod is None else m % mod
             rewritten: list[Word] = []
             try:
-                diff = _reduce(red_a - red_b, sys, max_steps, rewritten=rewritten)
+                diff = _reduce_terms(terms, e_a * e_b, sys, max_steps, rewritten=rewritten)
             except StepBudgetExceeded as exc:
                 raise StepBudgetExceeded(
                     f"critical pair at {sys.alg.word_str(amb.word)}: {exc}"

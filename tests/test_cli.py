@@ -8,11 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from ncdiamond import __version__
+from ncdiamond import (
+    __version__,
+    ambiguity_reducts,
+    find_ambiguities,
+    load_presentation,
+    reduction_trace,
+)
 from ncdiamond.cli import build_parser, main
 
 TOP_KEYS = ["command", "inputs", "verdict", "details", "seed", "version"]
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -103,6 +110,23 @@ def test_confluence_irving(capsys):
     assert second["trace_b"] == ["y*x*x", "0"]
     assert second["normal_form_a"] == "0" == second["normal_form_b"]
     assert doc["seed"] is None
+
+
+def test_confluence_budget_names_the_critical_pair(capsys):
+    # the first ambiguity, at x*x*x, reduces both sides to 0 in no step; the
+    # first whose trace needs one is the next in find_ambiguities order
+    sys_ = load_presentation("irving").system
+    needs_a_step = [
+        amb for amb in find_ambiguities(sys_)
+        if any(len(reduction_trace(red, sys_)) > 1 for red in ambiguity_reducts(sys_, amb))
+    ]
+    assert sys_.alg.word_str(needs_a_step[0].word) == "y*x*y*x*y"
+    code, out, err = run(capsys, "confluence", "irving", "--max-steps", "0")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: critical pair at y*x*y*x*y: the step budget ran out")
+    code, out, err = run(capsys, "confluence", "irving", "--pretty", "--max-steps", "1")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "confluence_irving_pretty.out").read_text()
 
 
 def test_confluence_failure_exits_1(capsys):

@@ -27,7 +27,8 @@ from ncdiamond import (
     verify_identity_comm3,
     verify_lemma_witness,
 )
-from ncdiamond.rewrite import _confluent
+from ncdiamond.ncpoly import _int_terms
+from ncdiamond.rewrite import DEFAULT_STEP_BUDGET, _confluent, _first_unresolved, _reduce_terms
 from ncdiamond.seeding import rng_for
 
 
@@ -560,20 +561,27 @@ GATE_SAMPLE = (
 )
 
 
+def corpus_systems(ids):
+    """(tag, system) for the corpus presentations named by ids, each also
+    completed to its rule budget unless its quotient collapses."""
+    for param in completion_corpus():
+        if param.id in ids:
+            text, budget = param.values
+            sys_ = parse_presentation(text, param.id).system
+            yield param.id, sys_
+            try:
+                done = complete(sys_, budget).system
+            except QuotientCollapseError:
+                continue
+            yield param.id + "-completed", done
+
+
 def test_confluence_gate_matches_check_confluence(irving, cohnsasiada, alg_q, alg_fbig):
     systems = [(tag, s) for tag, s, _ in engine_systems(irving, cohnsasiada, alg_q, alg_fbig)]
     alg = irving.alg
     collapsed = irving.system.with_rule(RewriteRule(alg.word_from_names("x", "y"), alg.one()))
     systems.append(("collapsed", collapsed))
-    for param in completion_corpus():
-        if param.id in GATE_SAMPLE:
-            text, budget = param.values
-            sys_ = parse_presentation(text, param.id).system
-            systems.append((param.id, sys_))
-            try:
-                systems.append((param.id + "-completed", complete(sys_, budget).system))
-            except QuotientCollapseError:
-                pass
+    systems += corpus_systems(GATE_SAMPLE)
     assert set(GATE_SAMPLE) <= {tag for tag, _ in systems}
     verdicts = set()
     for tag, sys_ in systems:
@@ -581,6 +589,60 @@ def test_confluence_gate_matches_check_confluence(irving, cohnsasiada, alg_q, al
         assert _confluent(sys_) == verdict, tag
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+TRACE_SAMPLE = ("braid6", "braid9", "s3-f7-rot0-afirst", "d4-f7-rot1-bfirst", "a4-f7-rot2-bfirst")
+# y*x*x*x splices the first rule's right side (divisor 6 over Q) against
+# the second's (divisor 5); the pair resolves over none of Q, F_7, F_(2^61-1)
+FRACTIONAL_RULES = ("y*x -> 1/3*x*y + 1/2", "x*x*x -> 1/5")
+
+
+def test_certificate_traces_are_reduction_traces(irving, cohnsasiada, alg_q, alg_fbig):
+    # check_confluence starts each trace's loop from the splice it decodes
+    systems = [(tag, s) for tag, s, _ in engine_systems(irving, cohnsasiada, alg_q, alg_fbig)]
+    systems.append(("fractional", make_system(alg_q, *FRACTIONAL_RULES)))
+    corpus = list(corpus_systems(TRACE_SAMPLE))
+    assert len(corpus) == 2 * len(TRACE_SAMPLE)
+    systems += corpus
+    for tag, sys_ in systems:
+        for chk in check_confluence(sys_).checks:
+            red_a, red_b = ambiguity_reducts(sys_, chk.ambiguity)
+            assert chk.trace_a == reduction_trace(red_a, sys_), tag
+            assert chk.trace_b == reduction_trace(red_b, sys_), tag
+
+
+def test_critical_pair_difference_is_the_normal_form_of_the_reducts(
+    irving, cohnsasiada, xx2y, alg_q, alg_f7, alg_fbig
+):
+    # _first_unresolved starts its loop from red_a - red_b as int terms;
+    # words on which the reducts cancel cost no step and are not rewritten
+    alg = irving.alg
+    systems = [
+        xx2y,
+        cohnsasiada.system,
+        irving.system.with_rule(RewriteRule(alg.word_from_names("x", "y"), alg.one())),
+        make_system(alg_q, *FRACTIONAL_RULES),
+        make_system(alg_f7, *FRACTIONAL_RULES),
+        make_system(alg_fbig, *FRACTIONAL_RULES),
+        parse_presentation(S3_F7, "s3").system,
+    ]
+    for sys_ in systems:
+        sep = chr(len(sys_.alg.gens))
+        unresolved = 0
+        for amb in find_ambiguities(sys_):
+            red_a, red_b = ambiguity_reducts(sys_, amb)
+            want = normal_form(red_a - red_b, sys_)
+            entry = [amb, None, ""]
+            found = _first_unresolved(sys_, [[entry]], DEFAULT_STEP_BUDGET)
+            if want:
+                assert found == (amb, want)
+                unresolved += 1
+            else:
+                (terms,), d = _int_terms((red_a - red_b,))
+                rewritten = []
+                _reduce_terms(dict(terms), d, sys_, DEFAULT_STEP_BUDGET, rewritten=rewritten)
+                assert found is None and entry[2] == sep.join(rewritten)
+        assert unresolved
 
 
 # -- normal words --------------------------------------------------------------------

@@ -33,6 +33,11 @@ def source_env() -> dict:
             ["--random", "--pairs", "3", "--seed", "5"],
             "== collapse replay over Q, cap 6, 3 pair(s) ==",
         ),
+        (
+            "irving_tour.py",
+            ["--presentation", "cohnsasiada"],
+            "== presentation cohnsasiada.pres over Q ==",
+        ),
     ],
 )
 def test_script_runs(script, args, header):
