@@ -10,15 +10,16 @@ import argparse
 import signal
 
 from ncdiamond import Field, FreeAlgebra, builtin_collapse_instance, collapse_demo, random_s_ext
+from ncdiamond.cli import _positive
 from ncdiamond.seeding import rng_for
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--field", default="Q", help="Q or Fp:<prime>")
-    ap.add_argument("--trunc", type=int, default=6, help="series truncation cap")
+    ap.add_argument("--trunc", type=_positive, default=6, help="series truncation cap")
     ap.add_argument("--random", action="store_true", help="draw a random instance")
-    ap.add_argument("--pairs", type=int, default=2, help="pairs to draw with --random")
+    ap.add_argument("--pairs", type=_positive, default=2, help="pairs to draw with --random")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

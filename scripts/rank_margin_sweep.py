@@ -11,16 +11,26 @@ import argparse
 import signal
 
 from ncdiamond import Field, load_presentation, obstruction_probe, parse_presentation, random_assignment
+from ncdiamond.cli import _positive
 from ncdiamond.seeding import rng_for
 
 IRVING_TEMPLATE = "field Fp {p}\ngens x y\nrel x*x\nrel y*x*y - x\nwitness x=x y=y z=x*y*x a=y b=y*x\n"
 
 
+def sizes(text: str) -> list[int]:
+    """An argparse type: one or more positive matrix sizes, comma or space
+    separated."""
+    out = [_positive(s) for s in text.replace(",", " ").split()]
+    if not out:
+        raise argparse.ArgumentTypeError("name at least one matrix size")
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--field", default="Fp:101", help="Q or Fp:<prime> (default Fp:101)")
-    ap.add_argument("--sizes", default="4,8,12", help="comma-separated matrix sizes")
-    ap.add_argument("--trials", type=int, default=50, help="assignments per size")
+    ap.add_argument("--sizes", type=sizes, default="4,8,12", help="comma-separated matrix sizes")
+    ap.add_argument("--trials", type=_positive, default=50, help="assignments per size")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
@@ -29,14 +39,13 @@ def main() -> None:
         pres = load_presentation("irving")
     else:
         pres = parse_presentation(IRVING_TEMPLATE.format(p=field.p), f"irving-f{field.p}")
-    sizes = [int(s) for s in args.sizes.replace(",", " ").split()]
 
     print(f"== margin sweep over {field}, {args.trials} trials per size, seed {args.seed} ==")
     header = f"{'n':>4} {'margin min':>11} {'margin max':>11} {'mean':>7} {'cap>floor?':>11} {'feasible':>9}"
     print(header)
     print("-" * len(header))
     ever_feasible = False
-    for n in sizes:
+    for n in args.sizes:
         margins = []
         any_feasible = False
         any_gap = False

@@ -214,9 +214,11 @@ def _load_assignment(path: str, alg: FreeAlgebra) -> dict[str, ExactMatrix]:
     for key in ("field", "n", "assign"):
         if key not in data:
             raise ValueError(f"assignment file is missing the {key!r} key")
+    if not isinstance(data["field"], str):
+        raise ValueError(f"assignment field must be 'Q' or 'Fp:<prime>', got {data['field']!r}")
     field = Field.parse(data["field"])
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"assignment size n must be a positive integer, got {n!r}")
     if not isinstance(data["assign"], dict):
         raise ValueError("'assign' must map generator names to row-major entry lists")

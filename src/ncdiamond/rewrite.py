@@ -1,13 +1,11 @@
 """Oriented rewriting for finitely presented associative algebras.
 
 A rewrite system replaces fixed words by polynomials that are strictly
-smaller under deglex, so reduction terminates; in truncated mode a rule may
-instead raise the degree, and a global degree cap plus a step budget keep
-reduction finite.  On top of single steps the module provides normal forms,
-the overlap/inclusion ambiguity enumeration with per-ambiguity resolution
-traces, critical-pair completion, enumeration of the words avoiding every
-left-hand side, and the randomized polynomial-identity and witness checks
-that run on normal forms.
+smaller under deglex, so reduction terminates.  On top of single steps the
+module provides normal forms, the overlap/inclusion ambiguity enumeration
+with per-ambiguity resolution traces, critical-pair completion, enumeration
+of the words avoiding every left-hand side, and the randomized
+polynomial-identity and witness checks that run on normal forms.
 
 Reduction adds no Fractions term by term.  Each rule's right side is
 cleared once, to (word, int) terms over one divisor; the terms being reduced
@@ -31,14 +29,16 @@ from .ncpoly import (
 from .seeding import rng_for
 
 DEFAULT_STEP_BUDGET = 1_000_000
+# the longest lhs complete adds; past it, completion stops uncompleted
+_MAX_LHS_DEGREE = 64
 
 
 class StepBudgetExceeded(RuntimeError):
     """Reduction needed more rewrites than the configured budget, one
     rewrite of one merged word counting as one step.
 
-    Degree-nonincreasing rules always terminate, so a larger budget reaches
-    the normal form; in truncated mode it usually means the rule set loops.
+    Deglex-decreasing rules always terminate, so a larger budget reaches
+    the normal form.
     """
 
 
@@ -50,11 +50,10 @@ class QuotientCollapseError(ValueError):
 @dataclass(frozen=True)
 class RewriteRule:
     """One oriented rule lhs -> rhs.  The lhs is a nonempty word; every word
-    of the rhs is deglex-smaller than the lhs (or strictly longer, in
-    truncated mode).  ``_int_rhs`` is the rhs cleared once, as (word, int)
-    terms and their divisor: the numerators over the lcm of the denominators
-    over Q, the residues over 1 over F_p; every system holding the rule
-    splices with it."""
+    of the rhs is deglex-smaller than the lhs.  ``_int_rhs`` is the rhs
+    cleared once, as (word, int) terms and their divisor: the numerators
+    over the lcm of the denominators over Q, the residues over 1 over F_p;
+    every system holding the rule splices with it."""
 
     lhs: Word
     rhs: NcPoly
@@ -69,20 +68,13 @@ class RewriteRule:
 
 @dataclass(frozen=True)
 class RewriteSystem:
-    """An ordered list of rules over one free algebra.
-
-    ``trunc`` switches on truncated mode: reduction discards every word of
-    degree greater than the cap, and degree-increasing rules are accepted.
-    """
+    """An ordered list of rules over one free algebra."""
 
     alg: FreeAlgebra
     rules: tuple[RewriteRule, ...]
-    trunc: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rules", tuple(self.rules))
-        if self.trunc is not None and (not isinstance(self.trunc, int) or self.trunc < 1):
-            raise ValueError(f"truncation cap must be a positive integer, got {self.trunc!r}")
         seen: set[Word] = set()
         for rule in self.rules:
             if not isinstance(rule, RewriteRule):
@@ -98,26 +90,18 @@ class RewriteSystem:
                 )
             seen.add(rule.lhs)
             for w, _ in rule.rhs.terms:
-                if deglex_compare(w, rule.lhs) < 0:
-                    continue
-                if self.trunc is not None and len(w) > len(rule.lhs):
-                    continue
-                raise ValueError(
-                    f"rule {self.alg.word_str(rule.lhs)} -> {rule.rhs} is not "
-                    "deglex-decreasing (degree-increasing right-hand sides need "
-                    "truncated mode)"
-                )
+                if deglex_compare(w, rule.lhs) >= 0:
+                    raise ValueError(
+                        f"rule {self.alg.word_str(rule.lhs)} -> {rule.rhs} is not deglex-decreasing"
+                    )
 
     def with_rule(self, rule: RewriteRule) -> "RewriteSystem":
-        return RewriteSystem(self.alg, self.rules + (rule,), self.trunc)
+        return RewriteSystem(self.alg, self.rules + (rule,))
 
 
-def _check_poly(p: NcPoly, sys: RewriteSystem) -> NcPoly:
-    """p as the engine takes it in: in truncated mode, less every word over
-    the cap (p itself when none is)."""
+def _check_alg(p: NcPoly, sys: RewriteSystem) -> None:
     if p.alg != sys.alg:
         raise FieldError("polynomial and rewrite system live in different algebras")
-    return p if sys.trunc is None else p.truncate(sys.trunc)
 
 
 def _leftmost_match(word: Word, rules: tuple[RewriteRule, ...]) -> tuple[int, int] | None:
@@ -133,23 +117,19 @@ def _leftmost_match(word: Word, rules: tuple[RewriteRule, ...]) -> tuple[int, in
 
 def _splice(sys: RewriteSystem, word: Word, pos: int, idx: int, c: int) -> list[tuple[Word, int]]:
     """The int terms of c * (pre * rhs * post) over rule idx's divisor, where
-    word = pre + lhs + post with the rule's lhs at pos, less every word over
-    the truncation cap.  Distinct rhs words splice to distinct words, so no
-    two terms collide."""
+    word = pre + lhs + post with the rule's lhs at pos.  Distinct rhs words
+    splice to distinct words, so no two terms collide."""
     rule = sys.rules[idx]
     pre, post = word[:pos], word[pos + len(rule.lhs):]
-    trunc = sys.trunc
     out = []
     for u, m in rule._int_rhs[0]:
-        nu = pre + u + post
-        if trunc is None or len(nu) <= trunc:
-            out.append((nu, c * m))
+        out.append((pre + u + post, c * m))
     return out
 
 
 def _spliced(sys: RewriteSystem, word: Word, pos: int, idx: int) -> NcPoly:
     """pre * rhs * post, where word = pre + lhs + post with rule idx's lhs at
-    pos, less every word over the truncation cap."""
+    pos."""
     return _decoded(sys.alg, _splice(sys, word, pos, idx, 1), sys.rules[idx]._int_rhs[1])
 
 
@@ -157,12 +137,8 @@ def reduce_once(p: NcPoly, sys: RewriteSystem) -> tuple[NcPoly, bool]:
     """Apply one rewrite using the fixed strategy: take the deglex-greatest
     term c*w whose word contains some lhs, rewrite its leftmost occurrence
     with the lowest-index matching rule, giving p - c*w + c*(pre*rhs*post).
-    Returns (result, True), or (p, False) if p is already in normal form.
-    In truncated mode a p with words over the cap is not: its step drops
-    them."""
-    q = _check_poly(p, sys)
-    if q is not p:
-        return q, True
+    Returns (result, True), or (p, False) if p is already in normal form."""
+    _check_alg(p, sys)
     for w, c in p.terms:  # stored descending, so greatest first
         hit = _leftmost_match(w, sys.rules)
         if hit is not None:
@@ -174,12 +150,9 @@ def _reduce(
     p: NcPoly, sys: RewriteSystem, max_steps: int, snapshots: list[NcPoly] | None = None
 ) -> NcPoly:
     """Normalize p with :func:`_reduce_terms`, after clearing it to int
-    terms.  ``snapshots``, when given, starts as [p]; dropping p's words over
-    the cap is a snapshot of its own, as in reduce_once."""
-    q = _check_poly(p, sys)
-    if snapshots is not None and q is not p:
-        snapshots.append(q)
-    (start,), D = _int_terms((q,))
+    terms.  ``snapshots``, when given, starts as [p]."""
+    _check_alg(p, sys)
+    (start,), D = _int_terms((p,))
     return _reduce_terms(dict(start), D, sys, max_steps, snapshots)
 
 
@@ -194,19 +167,19 @@ def _reduce_terms(
     """The one reduction loop behind normal_form, reduction_trace and the
     critical pairs.
 
-    ``terms`` holds the polynomial being reduced, with equal words merged
-    and no word over the cap, as plain ints: numerators over the divisor
-    ``D`` over Q, residues reduced mod p over F_p (where D is 1).  It may
-    hold words with coefficient 0.  A heap holds its reducible words,
-    deglex-greatest first.  Each step pops the greatest reducible word with
+    ``terms`` holds the polynomial being reduced, with equal words merged,
+    as plain ints: numerators over the divisor ``D`` over Q, residues
+    reduced mod p over F_p (where D is 1).  It may hold words with
+    coefficient 0.  A heap holds its reducible words, deglex-greatest
+    first.  Each step pops the greatest reducible word with
     its merged coefficient c and rewrites its leftmost match with the
     lowest-index rule: reduce_once's choice, so the polynomials appended to
     ``snapshots`` are its iteration.  The rule's right side is (word, m)
     terms over its divisor e, so the step adds (c / g) * m per spliced word,
     g = gcd(c, e); when e does not divide c, every term and D are first
     scaled by e / g.  A word whose coefficient is 0 leaves without a step.
-    In truncated mode a popped word may come back; it is then merged in and
-    pushed again.  Each output word is decoded once; over Q the snapshots
+    Spliced words are deglex-smaller than the popped word, so none comes
+    back.  Each output word is decoded once; over Q the snapshots
     decode only the words each step touched.  ``snapshots``, when given,
     ends with the polynomial ``terms`` holds, and its last entry is
     returned.  ``rewritten``, when given, receives each word rewritten with
@@ -232,13 +205,9 @@ def _reduce_terms(
             continue
         steps += 1
         if steps > max_steps:
-            why = (
-                "the rule set is suspect (likely a truncated-mode loop)"
-                if sys.trunc is not None
-                else "deglex-decreasing rules terminate, so a larger budget reaches one"
-            )
             raise StepBudgetExceeded(
-                f"the step budget ran out after {max_steps} rewrites, before a normal form; {why}"
+                f"the step budget ran out after {max_steps} rewrites, before a normal "
+                "form; deglex-decreasing rules terminate, so a larger budget reaches one"
             )
         if rewritten is not None:
             rewritten.append(w)
@@ -307,21 +276,19 @@ class Ambiguity:
 
 def _pair_ambiguities(rules: tuple[RewriteRule, ...], a: int, b: int) -> list[Ambiguity]:
     """The overlap and inclusion ambiguities of rule a with rule b, ordered
-    by offset."""
+    by offset: an inclusion starts at most len(u) - len(v) letters in, an
+    overlap of k letters at len(u) - k > len(u) - len(v), so the inclusions
+    come first and the overlaps follow with k descending."""
     u, v = rules[a].lhs, rules[b].lhs
     found: list[Ambiguity] = []
-    for k in range(1, min(len(u), len(v))):
+    if a != b and len(v) < len(u):
+        j = u.find(v)
+        while j >= 0:
+            found.append(Ambiguity("inclusion", a, b, u, j))
+            j = u.find(v, j + 1)
+    for k in range(min(len(u), len(v)) - 1, 0, -1):
         if u[len(u) - k:] == v[:k]:
             found.append(Ambiguity("overlap", a, b, u + v[k:], len(u) - k))
-    if a != b and len(v) < len(u):
-        start = 0
-        while True:
-            j = u.find(v, start)
-            if j < 0:
-                break
-            found.append(Ambiguity("inclusion", a, b, u, j))
-            start = j + 1
-    found.sort(key=lambda amb: amb.offset)
     return found
 
 
@@ -451,9 +418,7 @@ class CompletionResult:
     added: tuple[RewriteRule, ...]
 
 
-def complete(
-    sys: RewriteSystem, max_new_rules: int = 64, max_degree: int = 64
-) -> CompletionResult:
+def complete(sys: RewriteSystem, max_new_rules: int = 64) -> CompletionResult:
     """Knuth-Bendix style completion by critical pairs.
 
     Repeatedly picks the first unresolved ambiguity, normalizes the
@@ -461,9 +426,10 @@ def complete(
     nonzero exactly when their normal forms differ), and orients it with the
     deglex-greatest word as the new left-hand side (over a field the leading
     coefficient is always invertible).  Old rules are kept as-is; only the new rule's
-    right-hand side is born fully reduced.  Stops with completed=False when
-    a budget is hit, and raises :class:`QuotientCollapseError` if a critical
-    pair normalizes to a nonzero scalar.
+    right-hand side is born fully reduced.  Stops with completed=False
+    before adding a rule past max_new_rules or one whose lhs is longer than
+    ``_MAX_LHS_DEGREE`` letters, and raises :class:`QuotientCollapseError`
+    if a critical pair normalizes to a nonzero scalar.
 
     The ambiguities of each pair of rules are enumerated once, and a pair
     that resolved is normalized again only when a rule added since can
@@ -473,8 +439,6 @@ def complete(
     and skipped.  So every pass finds the same first unresolved ambiguity as
     normalizing every pair again would.
     """
-    if sys.trunc is not None:
-        raise ValueError("completion runs in default (degree-nonincreasing) mode only")
     added: list[RewriteRule] = []
     cur = sys
     pairs: list[list[list]] = []  # pairs[a]: the entries of rule a's ambiguities
@@ -498,7 +462,7 @@ def complete(
                 f"to the nonzero scalar {cur.alg.field.scalar_str(c)}: the quotient "
                 "collapses to the zero ring"
             )
-        if len(added) >= max_new_rules or len(w) > max_degree:
+        if len(added) >= max_new_rules or len(w) > _MAX_LHS_DEGREE:
             return CompletionResult(False, cur, tuple(added))
         rhs = cur.alg.monomial(w) - diff.scale(cur.alg.field.inv(c))
         rule = RewriteRule(w, rhs)

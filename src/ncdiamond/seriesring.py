@@ -423,7 +423,8 @@ def random_radical_matrix(
 
 
 def neumann_inverse(M: SeriesMatrix) -> SeriesMatrix:
-    """Invert M = I + N, N entrywise constant-free, as I - N + N^2 - ...
+    """Invert M = I + N, N entrywise constant-free, as I - N + N^2 - ...,
+    the sum of the powers of I - M = -N.
 
     The sum stops at the cap since N^k has no terms below degree k; the
     result is an exact two-sided inverse modulo the truncation.  Raises if
@@ -440,16 +441,14 @@ def neumann_inverse(M: SeriesMatrix) -> SeriesMatrix:
                     "Neumann inversion needs constant-term part exactly the identity "
                     f"(entry ({i},{j}) has constant term {e.constant_term()})"
                 )
-    N = M - ident
+    neg_n = ident - M
     acc = ident
     term = ident
-    sign = field.one()
     for _ in range(M.cap):
-        term = term @ N
+        term = term @ neg_n
         if term.is_zero():
             break
-        sign = field.neg(sign)
-        acc = acc + term.scale(sign)
+        acc = acc + term
     return acc
 
 

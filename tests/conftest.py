@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings
 
-# make `import oracles` work regardless of how pytest is invoked
+# make `import engine_oracles` work regardless of how pytest is invoked
 sys.path.insert(0, str(Path(__file__).parent))
 
 settings.register_profile(

@@ -97,8 +97,6 @@ def apply_rewrite(
     c = terms[w]
     for u, a in rule.rhs.terms:
         nu = w[:pos] + u + w[pos + len(rule.lhs) :]
-        if sys.trunc is not None and len(nu) > sys.trunc:
-            continue
         v = f.add(out.get(nu, f.zero()), f.mul(c, a))
         if v == 0:
             out.pop(nu, None)
@@ -108,11 +106,10 @@ def apply_rewrite(
 
 
 def oracle_normal_form(p: NcPoly, sys: RewriteSystem, max_steps: int = 200_000) -> NcPoly:
-    """Literal restatement of the reduction contract: in truncated mode drop
-    every input word over the cap, then repeatedly rewrite the
+    """Literal restatement of the reduction contract: repeatedly rewrite the
     deglex-greatest reducible term at its leftmost redex with the lowest
     rule index, until no term is reducible."""
-    terms = {w: c for w, c in p.terms if sys.trunc is None or len(w) <= sys.trunc}
+    terms = dict(p.terms)
     for _ in range(max_steps):
         best_word = None
         for w in terms:
@@ -143,6 +140,25 @@ def randomized_normal_form(
         w, pos, idx = sites[rng.randrange(len(sites))]
         terms = apply_rewrite(sys, terms, w, pos, idx)
     raise RuntimeError("randomized reduction did not terminate within its step cap")
+
+
+def brute_ambiguities(sys: RewriteSystem) -> list[tuple[str, int, int, Word, int]]:
+    """Every (kind, rule_a, rule_b, word, offset) ambiguity, found by trying
+    each ordered pair of rules at each offset and comparing slices, sorted
+    by (rule_a, rule_b, offset).  An inclusion puts lhs_b strictly inside
+    lhs_a (a != b); an overlap starts lhs_b inside lhs_a and ends it past."""
+    found = []
+    for a, ra in enumerate(sys.rules):
+        for b, rb in enumerate(sys.rules):
+            u, v = ra.lhs, rb.lhs
+            for off in range(len(u)):
+                if off + len(v) <= len(u):
+                    if a != b and len(v) < len(u) and contains_at(u, v, off):
+                        found.append(("inclusion", a, b, u, off))
+                elif off > 0 and u[off:] == v[: len(u) - off]:
+                    found.append(("overlap", a, b, u + v[len(u) - off :], off))
+    found.sort(key=lambda amb: (amb[1], amb[2], amb[4]))
+    return found
 
 
 def brute_normal_words(sys: RewriteSystem, degree: int) -> list[Word]:

@@ -7,7 +7,7 @@ import json
 import time
 from itertools import product
 
-import oracles
+import engine_oracles as oracles
 from ncdiamond import (
     ExactMatrix,
     Field,

@@ -334,6 +334,8 @@ def test_probe_frozen_report(capsys, tmp_path):
         {"field": "Q", "assign": {}},                                 # n missing
         {"field": "Q", "n": 2},                                       # assign missing
         {"field": "Q", "n": 0, "assign": {}},                         # bad n
+        {"field": "Q", "n": True, "assign": {}},                      # bool n
+        {"field": 5, "n": 2, "assign": {}},                           # field not a string
         {"field": "Q", "n": 2, "assign": []},                         # assign not a dict
         {"field": "Q", "n": 2, "assign": {"q": [0, 0, 0, 0]}},        # unknown generator
         {"field": "Q", "n": 2, "assign": {"x": [0, 1, 0]}},           # wrong length

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import oracles
+import engine_oracles as oracles
 from ncdiamond import (
     EMPTY_WORD,
     Field,

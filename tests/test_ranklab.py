@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-import oracles
+import engine_oracles as oracles
 from ncdiamond import (
     ExactMatrix,
     Field,

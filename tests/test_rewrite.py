@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-import oracles
+import engine_oracles as oracles
 from ncdiamond import (
     Field,
     FieldError,
@@ -61,16 +61,12 @@ def test_system_validation(alg_q):
     up = RewriteRule(alg_q.word_from_names("x"), alg_q.parse("y*x*y"))
     with pytest.raises(ValueError):
         RewriteSystem(alg_q, (up,))
-    # ... but accepted in truncated mode
-    RewriteSystem(alg_q, (up,), trunc=5)
     # same-degree non-smaller rhs rejected: yx -> yx + x
     bad = RewriteRule(alg_q.word_from_names("y", "x"), alg_q.parse("y*x + x"))
     with pytest.raises(ValueError):
         RewriteSystem(alg_q, (bad,))
     # equal-degree smaller rhs fine: yx -> xy
     RewriteSystem(alg_q, (RewriteRule(alg_q.word_from_names("y", "x"), alg_q.parse("x*y")),))
-    with pytest.raises(ValueError):
-        RewriteSystem(alg_q, (), trunc=0)
     f7 = FreeAlgebra(Field.prime(7), ("x", "y"))
     with pytest.raises(FieldError):
         RewriteSystem(alg_q, (RewriteRule("\x00\x00", f7.parse("y")),))
@@ -95,6 +91,12 @@ def test_reduce_once_golden_cases(irving):
     assert not changed and q == alg.parse("x*y*x")
     z, changed = reduce_once(alg.zero(), irving.system)
     assert not changed and z.is_zero()
+
+
+def test_reduce_once_leaves_no_zero_term(alg_q):
+    # the spliced x*y cancels -x*y exactly and leaves no zero term behind
+    out, changed = reduce_once(alg_q.parse("y*x - x*y"), make_system(alg_q, "y*x -> x*y"))
+    assert changed and out.terms == ()
 
 
 def test_reduce_once_strategy_order(irving):
@@ -214,79 +216,6 @@ def test_weyl_half_large_normal_form(alg_q):
     assert len(nf.terms) == 25 and nf.terms[-1][0] == ""
 
 
-def test_truncated_mode_loop_hits_budget(alg_q):
-    # x -> y*x*y (degree-raising, truncated mode) and y*x*y -> x loop forever
-    rules = (
-        RewriteRule(alg_q.word_from_names("x"), alg_q.parse("y*x*y")),
-        RewriteRule(alg_q.word_from_names("y", "x", "y"), alg_q.parse("x")),
-    )
-    sys_ = RewriteSystem(alg_q, rules, trunc=6)
-    with pytest.raises(StepBudgetExceeded, match="after 500 rewrites.*truncated-mode loop"):
-        normal_form(alg_q.parse("x"), sys_, max_steps=500)
-
-
-def test_truncated_mode_discards_high_degree(alg_q):
-    # x -> y*y*y with cap 2: the replacement exceeds the cap, so x maps to 0
-    sys_ = RewriteSystem(
-        alg_q, (RewriteRule(alg_q.word_from_names("x"), alg_q.parse("y*y*y")),), trunc=2
-    )
-    assert normal_form(alg_q.parse("x + y"), sys_) == alg_q.parse("y")
-
-
-def test_truncated_mode_discards_input_words_over_the_cap(alg_q):
-    # y*y*y is irreducible, but no word over cap 2 survives reduction
-    sys_ = RewriteSystem(
-        alg_q, (RewriteRule(alg_q.word_from_names("x"), alg_q.parse("y*y*y")),), trunc=2
-    )
-    for text, want in [("y*y*y", "0"), ("y*y*y + x", "0"), ("y*y*y + y", "y")]:
-        p, want = alg_q.parse(text), alg_q.parse(want)
-        assert normal_form(p, sys_) == reduction_trace(p, sys_)[-1] == want, text
-        assert oracles.oracle_normal_form(p, sys_) == want, text
-        assert reduce_once(p, sys_) == (p.truncate(2), True), text
-    p = alg_q.parse("y*y*y + y")
-    assert reduction_trace(p, sys_) == (p, alg_q.parse("y"))
-
-
-def truncated_system(alg, cap):
-    """y*x -> x*y + 2*y^4 raises the degree; x*x -> y overlaps it in y*x*x."""
-    rules = (
-        RewriteRule(alg.word_from_names("y", "x"), alg.parse("x*y + 2*y*y*y*y")),
-        RewriteRule(alg.word_from_names("x", "x"), alg.parse("y")),
-    )
-    return RewriteSystem(alg, rules, trunc=cap)
-
-
-@pytest.mark.parametrize("cap", [3, 4, 5])
-def test_truncated_splice_agrees_across_entry_points(alg_q, cap):
-    sys_ = truncated_system(alg_q, cap)
-    texts = ["y*x - x*y", "y*x*x", "y*y*x*x", "y*x*y*x", "x*y*x + 3*y*x", "(x + y)*(x + y)*(x + y)"]
-    for text in texts:
-        p = alg_q.parse(text)
-        cur, changed = p, True
-        while changed:
-            cur, changed = reduce_once(cur, sys_)
-        assert cur == reduction_trace(p, sys_)[-1] == normal_form(p, sys_)
-        assert cur == oracles.oracle_normal_form(p, sys_)
-
-
-def test_truncated_splice_by_hand(alg_q):
-    amb, _ = find_ambiguities(truncated_system(alg_q, 4))
-    assert alg_q.word_str(amb.word) == "y*x*x" and amb.offset == 1
-    # rule 0 at 0 gives x*y*x + 2*y^4*x; the degree-5 word is over cap 4
-    assert ambiguity_reducts(truncated_system(alg_q, 4), amb) == (
-        alg_q.parse("x*y*x"), alg_q.parse("y*y"),
-    )
-    assert ambiguity_reducts(truncated_system(alg_q, 5), amb) == (
-        alg_q.parse("x*y*x + 2*y*y*y*y*x"), alg_q.parse("y*y"),
-    )
-    # the spliced x*y cancels -x*y exactly and leaves no zero term behind
-    p = alg_q.parse("y*x - x*y")
-    out, changed = reduce_once(p, truncated_system(alg_q, 4))
-    assert changed and out.terms == ((alg_q.word_from_names("y", "y", "y", "y"), 2),)
-    out, changed = reduce_once(p, truncated_system(alg_q, 3))
-    assert changed and out.terms == ()
-
-
 # -- ambiguities -------------------------------------------------------------------
 
 
@@ -324,6 +253,19 @@ def test_find_ambiguities_multiple_inclusion_offsets(alg_q):
     sys_ = make_system(alg_q, "x*y*x*y*x -> 0", "x -> 0")
     offsets = [a.offset for a in find_ambiguities(sys_) if a.kind == "inclusion"]
     assert offsets == [0, 2, 4]
+
+
+def test_find_ambiguities_matches_brute_oracle(alg_q):
+    # random left sides over two letters, lengths 1-7, up to four rules
+    for t in range(400):
+        rng = rng_for(23, "ambiguities", t)
+        lhss = dict.fromkeys(
+            "".join(rng.choice("\x00\x01") for _ in range(rng.randint(1, 7)))
+            for _ in range(rng.randint(1, 4))
+        )
+        sys_ = RewriteSystem(alg_q, tuple(RewriteRule(w, alg_q.zero()) for w in lhss))
+        got = [(a.kind, a.rule_a, a.rule_b, a.word, a.offset) for a in find_ambiguities(sys_)]
+        assert got == oracles.brute_ambiguities(sys_), t
 
 
 def test_ambiguity_reducts_known_chain(irving):
@@ -393,12 +335,6 @@ def test_complete_detects_quotient_collapse(alg_q):
         complete(sys_)
 
 
-def test_complete_rejects_truncated_mode(alg_q):
-    up = RewriteRule(alg_q.word_from_names("x"), alg_q.parse("y*x*y"))
-    with pytest.raises(ValueError):
-        complete(RewriteSystem(alg_q, (up,), trunc=4))
-
-
 # -- the reduction engine against reduce_once ------------------------------------------
 
 WEYL = "field Q\ngens x y\nrule y*x -> x*y + 1\n"
@@ -438,7 +374,7 @@ def engine_inputs(sys_, tag, count, max_deg):
     return out
 
 
-def engine_systems(irving, cohnsasiada, alg_q, alg_fbig):
+def engine_systems(irving, cohnsasiada, alg_fbig):
     braid = parse_presentation(BRAID, "braid").system
     yield "irving", irving.system, True
     yield "cohnsasiada", cohnsasiada.system, False
@@ -450,12 +386,10 @@ def engine_systems(irving, cohnsasiada, alg_q, alg_fbig):
     yield "weyl-fbig", make_system(alg_fbig, "y*x -> 1/2*x*y + 1/3", "x*x*x -> 1/5"), False
     yield "sl2", parse_presentation(SL2, "sl2").system, True
     yield "braid12", complete(braid, max_new_rules=12).system, False
-    for cap in (3, 4, 5, 6):
-        yield f"trunc{cap}", truncated_system(alg_q, cap), False
 
 
-def test_engine_matches_reduce_once_and_oracles(irving, cohnsasiada, alg_q, alg_fbig):
-    for tag, sys_, confluent in engine_systems(irving, cohnsasiada, alg_q, alg_fbig):
+def test_engine_matches_reduce_once_and_oracles(irving, cohnsasiada, alg_fbig):
+    for tag, sys_, confluent in engine_systems(irving, cohnsasiada, alg_fbig):
         assert not confluent or check_confluence(sys_).overall, tag
         f = sys_.alg.field
         for i, p in enumerate(engine_inputs(sys_, tag, 30, 5)):
@@ -576,8 +510,8 @@ def corpus_systems(ids):
             yield param.id + "-completed", done
 
 
-def test_confluence_gate_matches_check_confluence(irving, cohnsasiada, alg_q, alg_fbig):
-    systems = [(tag, s) for tag, s, _ in engine_systems(irving, cohnsasiada, alg_q, alg_fbig)]
+def test_confluence_gate_matches_check_confluence(irving, cohnsasiada, alg_fbig):
+    systems = [(tag, s) for tag, s, _ in engine_systems(irving, cohnsasiada, alg_fbig)]
     alg = irving.alg
     collapsed = irving.system.with_rule(RewriteRule(alg.word_from_names("x", "y"), alg.one()))
     systems.append(("collapsed", collapsed))
@@ -599,7 +533,7 @@ FRACTIONAL_RULES = ("y*x -> 1/3*x*y + 1/2", "x*x*x -> 1/5")
 
 def test_certificate_traces_are_reduction_traces(irving, cohnsasiada, alg_q, alg_fbig):
     # check_confluence starts each trace's loop from the splice it decodes
-    systems = [(tag, s) for tag, s, _ in engine_systems(irving, cohnsasiada, alg_q, alg_fbig)]
+    systems = [(tag, s) for tag, s, _ in engine_systems(irving, cohnsasiada, alg_fbig)]
     systems.append(("fractional", make_system(alg_q, *FRACTIONAL_RULES)))
     corpus = list(corpus_systems(TRACE_SAMPLE))
     assert len(corpus) == 2 * len(TRACE_SAMPLE)

@@ -67,3 +67,31 @@ def test_script_quiet_when_reader_closes_early():
     proc.stdout.close()
     assert proc.stderr.read() == ""
     proc.wait()
+
+
+@pytest.mark.parametrize(
+    "script, args, message",
+    [
+        ("rank_margin_sweep.py", ["--trials", "0"], "argument --trials: must be at least 1, got 0"),
+        ("rank_margin_sweep.py", ["--sizes", "0"], "argument --sizes: must be at least 1, got 0"),
+        ("rank_margin_sweep.py", ["--sizes", "4,-2"], "argument --sizes: must be at least 1, got -2"),
+        ("rank_margin_sweep.py", ["--sizes", ","], "argument --sizes: name at least one matrix size"),
+        ("collapse_walkthrough.py", ["--trunc", "0"], "argument --trunc: must be at least 1, got 0"),
+        (
+            "collapse_walkthrough.py",
+            ["--random", "--pairs", "0"],
+            "argument --pairs: must be at least 1, got 0",
+        ),
+        ("irving_tour.py", ["--trials", "0"], "argument --trials: must be at least 1, got 0"),
+    ],
+)
+def test_script_rejects_out_of_range_counts(script, args, message):
+    # as the CLI does: argparse's usage error, exit 2, nothing on stdout
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=source_env(),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines()[-1] == f"{script}: error: {message}"

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-import oracles
+import engine_oracles as oracles
 from ncdiamond import (
     Field,
     FieldError,
