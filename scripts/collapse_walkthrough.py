@@ -9,7 +9,14 @@ with the algebraic conclusion they force."""
 import argparse
 import signal
 
-from ncdiamond import Field, FreeAlgebra, builtin_collapse_instance, collapse_demo, random_s_ext
+from ncdiamond import (
+    Field,
+    FieldError,
+    FreeAlgebra,
+    builtin_collapse_instance,
+    collapse_demo,
+    random_s_ext,
+)
 from ncdiamond.cli import _positive
 from ncdiamond.seeding import rng_for
 
@@ -23,7 +30,11 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    alg = FreeAlgebra(Field.parse(args.field), ("x", "y"))
+    try:
+        field = Field.parse(args.field)
+    except FieldError as exc:
+        ap.error(f"argument --field: {exc}")
+    alg = FreeAlgebra(field, ("x", "y"))
     if args.random:
         rng = rng_for(args.seed, "collapse-walkthrough")
         u = [random_s_ext(alg, args.trunc, rng) for _ in range(args.pairs)]

@@ -7,6 +7,7 @@ import argparse
 import signal
 
 from ncdiamond import (
+    PresentationError,
     check_confluence,
     enumerate_normal_words,
     load_presentation,
@@ -25,7 +26,10 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    pres = load_presentation(args.presentation)
+    try:
+        pres = load_presentation(args.presentation)
+    except (PresentationError, OSError) as exc:
+        ap.error(f"argument --presentation: {exc}")
     alg = pres.alg
 
     print(f"== presentation {pres.name} over {alg.field} ==")

@@ -10,7 +10,14 @@ is exactly the obstruction the bounds enforce."""
 import argparse
 import signal
 
-from ncdiamond import Field, load_presentation, obstruction_probe, parse_presentation, random_assignment
+from ncdiamond import (
+    Field,
+    FieldError,
+    load_presentation,
+    obstruction_probe,
+    parse_presentation,
+    random_assignment,
+)
 from ncdiamond.cli import _positive
 from ncdiamond.seeding import rng_for
 
@@ -34,7 +41,10 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    field = Field.parse(args.field)
+    try:
+        field = Field.parse(args.field)
+    except FieldError as exc:
+        ap.error(f"argument --field: {exc}")
     if field.p is None:
         pres = load_presentation("irving")
     else:

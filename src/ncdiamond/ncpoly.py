@@ -12,9 +12,12 @@ polynomials have identical storage.
 
 Products do not add Fractions term by term.  Each factor comes in as
 integer coefficients over one divisor (cleared numerators over Q, the
-residues over F_p), the products of term pairs are summed as plain ints,
-and each output word is decoded once: one Fraction over Q, one reduction
-mod p over F_p.  Truncated series and their matrices use the same loop.
+residues over F_p), and one pair loop (``_product``) sums the products of
+term pairs as plain ints.  Decoding (``_decoded``) is a separate step,
+one Fraction over Q or one reduction mod p over F_p per output word, so a
+caller that chains products keeps the int sums between them and decodes
+once at the end.  Truncated series, their matrices, and the quasi-inverse
+and Neumann sums all run the same pair loop.
 """
 
 from __future__ import annotations
@@ -242,7 +245,7 @@ class NcPoly:
         if isinstance(other, NcPoly):
             self._check(other)
             (left, right), d = _int_terms((self, other))
-            return _product(self.alg, ((left, right),), d * d, cap)
+            return _decoded(self.alg, _product(((left, right),), cap).items(), d * d)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self.scale(other)
         return NotImplemented
@@ -276,27 +279,30 @@ class NcPoly:
     def __hash__(self) -> int:
         return hash((self.alg, self.terms))
 
-    def _term_str(self, w: Word, c: Scalar) -> str:
-        ws = self.alg.word_str(w)
-        if not w:
-            return self.alg.field.scalar_str(c)
-        if c == 1:
-            return ws
-        return f"{self.alg.field.scalar_str(c)}*{ws}"
-
     def __str__(self) -> str:
-        """Canonical expression, terms descending; round-trips through parse."""
+        """Canonical expression, terms descending; round-trips through parse.
+        Each coefficient is read as numerator and denominator, which a
+        Fraction and an int residue both have."""
         if not self.terms:
             return "0"
-        rational = self.alg.field.kind == "Q"
+        word_str = self.alg.word_str
         parts: list[str] = []
-        for i, (w, c) in enumerate(self.terms):
-            if rational and c < 0:
-                body = self._term_str(w, -c)
-                parts.append("-" + body if i == 0 else " - " + body)
+        for w, c in self.terms:
+            n, d = c.numerator, c.denominator
+            if n < 0:
+                parts.append(" - ")
+                n = -n
             else:
-                body = self._term_str(w, c)
-                parts.append(body if i == 0 else " + " + body)
+                parts.append(" + ")
+            if not w:
+                parts.append(f"{n}" if d == 1 else f"{n}/{d}")
+            elif d != 1:
+                parts.append(f"{n}/{d}*{word_str(w)}")
+            elif n != 1:
+                parts.append(f"{n}*{word_str(w)}")
+            else:
+                parts.append(word_str(w))
+        parts[0] = "-" if parts[0] == " - " else ""
         return "".join(parts)
 
     def __repr__(self) -> str:
@@ -317,15 +323,15 @@ def _int_terms(polys: Sequence[NcPoly]) -> tuple[list[Sequence[tuple[Word, int]]
 
 
 def _product(
-    alg: FreeAlgebra,
     pairs: Iterable[tuple[Sequence[tuple[Word, int]], Sequence[tuple[Word, int]]]],
-    d: int,
     cap: int | None,
-) -> NcPoly:
-    """The sum of left * right over pairs of int term lists, divided by d.
+) -> dict[Word, int]:
+    """The sum of left * right over pairs of int term lists, as int terms
+    over the product of the two divisors, zero sums included.
 
-    Every product of two terms is one int product added into a dict; with
-    a cap, no word over it is formed.  Each output word is decoded once."""
+    Every product of two terms is one int product added into a dict.  With
+    a cap, no word over it is formed; each right list must then be in term
+    order.  ``_decoded`` turns the result into a polynomial."""
     acc: dict[Word, int] = {}
     get = acc.get
     for left, right in pairs:
@@ -338,7 +344,7 @@ def _product(
             for v, b in right_u:
                 w = u + v
                 acc[w] = get(w, 0) + a * b
-    return _decoded(alg, acc.items(), d)
+    return acc
 
 
 def _decoded(alg: FreeAlgebra, terms: Iterable[tuple[Word, int]], d: int) -> NcPoly:

@@ -556,7 +556,8 @@ def triple_commutator_nf(
         x._check(y)
         (xs, ys), d = _int_terms((x, y))
         pairs = ((xs, ys), ([(w, -n) for w, n in ys], xs))
-        comm = normal_form(_product(x.alg, pairs, d * d, None), sys, max_steps)
+        comm = _decoded(x.alg, _product(pairs, None).items(), d * d)
+        comm = normal_form(comm, sys, max_steps)
         acc = normal_form(acc * comm, sys, max_steps)
     return acc
 

@@ -9,6 +9,13 @@ one-sided-inverse probe, and the square-zero extension by a generator z
 with z * (anything scalar-free) = 0, together with a step-by-step replay of
 the collapse argument that the extension exists to support.
 
+Both inverses are geometric series, and they share one integer loop
+(``_power_sum``): the factor is cleared once, to int terms over one divisor
+d; each power A^k and the partial sum stay int terms over d^k, each entry
+of the next power is one run of the ``ncpoly`` pair loop, and only the sum
+is decoded.  Neither inverse goes through ``TruncSeries.__mul__`` or
+``SeriesMatrix.__matmul__``.
+
 Honesty note: a quotient by a degree-increasing relation (one that rewrites
 a low-degree word into a higher-degree expression) is *not* represented by
 these truncations - the low-degree element lands inside every truncation
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import FieldError, Scalar
-from .ncpoly import FreeAlgebra, NcPoly, Word, _int_terms, _product
+from .ncpoly import EMPTY_WORD, FreeAlgebra, NcPoly, Word, _decoded, _int_terms, _product
 
 
 @dataclass(frozen=True)
@@ -106,14 +113,9 @@ def quasi_inverse(f: TruncSeries) -> TruncSeries:
     constant term, satisfying g*f = f + g = f*g up to the cap."""
     if f.constant_term() != 0:
         raise ValueError("quasi-inverse requires a zero constant term")
-    total = f
-    power = f
-    for _ in range(f.cap - 1):
-        power = power * f
-        if not power:
-            break
-        total = total + power
-    return -total
+    (terms,), d = _int_terms((f.body,))
+    ((total,),), dk = _power_sum([[terms]], d, f.cap, f.alg.field.p)
+    return TruncSeries(_decoded(f.alg, [(w, -c) for w, c in total.items()], dk), f.cap)
 
 
 def circle(a: TruncSeries, b: TruncSeries) -> TruncSeries:
@@ -396,7 +398,10 @@ class SeriesMatrix:
         left = [_int_terms([e.body for e in row]) for row in self.entries]
         right = [_int_terms([e.body for e in col]) for col in zip(*other.entries)]
         return SeriesMatrix(tuple(
-            tuple(TruncSeries(_product(alg, zip(row, col), d * e, cap), cap) for col, e in right)
+            tuple(
+                TruncSeries(_decoded(alg, _product(zip(row, col), cap).items(), d * e), cap)
+                for col, e in right
+            )
             for row, d in left
         ))
 
@@ -431,7 +436,6 @@ def neumann_inverse(M: SeriesMatrix) -> SeriesMatrix:
     the constant-term matrix of M is not the identity (the only constant
     part supported).
     """
-    ident = SeriesMatrix.identity(M.alg, M.n, M.cap)
     field = M.alg.field
     for i, row in enumerate(M.entries):
         for j, e in enumerate(row):
@@ -441,15 +445,54 @@ def neumann_inverse(M: SeriesMatrix) -> SeriesMatrix:
                     "Neumann inversion needs constant-term part exactly the identity "
                     f"(entry ({i},{j}) has constant term {e.constant_term()})"
                 )
-    neg_n = ident - M
-    acc = ident
-    term = ident
-    for _ in range(M.cap):
-        term = term @ neg_n
-        if term.is_zero():
+    n = M.n
+    # -N is M with its constant terms dropped and its signs flipped; one
+    # divisor d clears the whole matrix
+    cleared, d = _int_terms([x.body for row in M.entries for x in row])
+    neg_n = [[(w, -c) for w, c in terms if w] for terms in cleared]
+    total, dk = _power_sum([neg_n[i * n:(i + 1) * n] for i in range(n)], d, M.cap, field.p)
+    for i in range(n):
+        # the identity; no power of -N has a constant term
+        total[i][i][EMPTY_WORD] = dk
+    return SeriesMatrix(tuple(
+        tuple(TruncSeries(_decoded(M.alg, s.items(), dk), M.cap) for s in row) for row in total
+    ))
+
+
+def _power_sum(
+    a: list[list[Sequence[tuple[Word, int]]]], d: int, cap: int, p: int | None
+) -> tuple[list[list[dict[Word, int]]], int]:
+    """A + A^2 + ... + A^cap, stopping at the first power that is 0, for a
+    square matrix A of constant-free int term lists over d; returned as int
+    terms over its divisor e.
+
+    A^k and the partial sum are kept over d^k (the sum is scaled by d as k
+    grows), and A^k is reduced mod p over F_p.  Each entry of the next power
+    is one run of the pair loop over its inner product."""
+    n = len(a)
+    cols = list(zip(*a))
+    power = [[[(EMPTY_WORD, 1)] if i == j else [] for j in range(n)] for i in range(n)]
+    total: list[list[dict[Word, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    e = 1
+    for _ in range(cap):
+        power = [[_nonzero(_product(zip(row, col), cap), p) for col in cols] for row in power]
+        if not any(map(any, power)):
             break
-        acc = acc + term
-    return acc
+        if d != 1:
+            total = [[{w: c * d for w, c in s.items()} for s in row] for row in total]
+            e *= d
+        for total_row, power_row in zip(total, power):
+            for s, t in zip(total_row, power_row):
+                for w, c in t:
+                    s[w] = s.get(w, 0) + c
+    return total, e
+
+
+def _nonzero(acc: dict[Word, int], p: int | None) -> list[tuple[Word, int]]:
+    """The terms of an int sum that are not 0, as residues over F_p."""
+    if p is None:
+        return [(w, c) for w, c in acc.items() if c]
+    return [(w, c % p) for w, c in acc.items() if c % p]
 
 
 @dataclass(frozen=True)

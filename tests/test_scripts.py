@@ -83,10 +83,22 @@ def test_script_quiet_when_reader_closes_early():
             "argument --pairs: must be at least 1, got 0",
         ),
         ("irving_tour.py", ["--trials", "0"], "argument --trials: must be at least 1, got 0"),
+        (
+            "rank_margin_sweep.py",
+            ["--field", "Zp"],
+            "argument --field: bad field spec 'Zp' (expected 'Q' or 'Fp:<prime>')",
+        ),
+        ("collapse_walkthrough.py", ["--field", "Fp:8"], "argument --field: modulus 8 is not prime"),
+        (
+            "irving_tour.py",
+            ["--presentation", "nope"],
+            "argument --presentation: no presentation file at 'nope' and no bundled preset 'nope.pres'",
+        ),
     ],
 )
 def test_script_rejects_out_of_range_counts(script, args, message):
-    # as the CLI does: argparse's usage error, exit 2, nothing on stdout
+    # as the CLI does: argparse's usage error, exit 2, nothing on stdout;
+    # a field or presentation that does not load is such an error too
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True,
@@ -95,3 +107,4 @@ def test_script_rejects_out_of_range_counts(script, args, message):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.splitlines()[-1] == f"{script}: error: {message}"
+

@@ -19,6 +19,7 @@ from ncdiamond import (
     random_series,
     stable_finiteness_probe,
 )
+from ncdiamond import ncpoly, seriesring
 from ncdiamond.seeding import rng_for
 
 
@@ -100,13 +101,19 @@ def test_series_product_commutes_with_truncation(alg, alg7):
 def test_series_product_forms_no_word_over_the_cap(alg):
     # x^3 * x^3 has degree 6 > 4: the series product forms no word from the
     # pair, the plain product then truncated forms x^6 once.  The word's
-    # str subclass records every concatenation it heads, which is where a
-    # product turns a pair of terms into an output word.
+    # str subclass records every concatenation it takes part in, on either
+    # side, which is where a product turns a pair of terms into an output
+    # word.
     formed = []
 
     class SpyWord(str):
         def __add__(self, other):
             w = str.__add__(self, other)
+            formed.append(w)
+            return w
+
+        def __radd__(self, other):
+            w = str.__add__(other, self)
             formed.append(w)
             return w
 
@@ -118,6 +125,13 @@ def test_series_product_forms_no_word_over_the_cap(alg):
     m = SeriesMatrix(((s,),))
     assert (m @ m).is_zero()
     assert formed == ["\x00" * 6]
+    # the geometric series of both inverses run the same loop: they form
+    # x^3 from the identity and stop, x^6 being over the cap
+    formed.clear()
+    assert quasi_inverse(s) == -s
+    ident = SeriesMatrix.identity(alg, 1, 4)
+    assert neumann_inverse(ident + m) == ident - m
+    assert formed == ["\x00" * 3, "\x00" * 3]
 
 
 def _random_poly_any(alg, max_deg, rng):
@@ -172,6 +186,66 @@ def test_quasi_inverse_random(alg, alg7):
             assert g * f == f + g
             assert f * g == f + g
             assert quasi_inverse(g) == f or circle(quasi_inverse(g), f).is_zero()
+
+
+def _oracle_quasi_inverse(s: TruncSeries) -> dict:
+    """-(f + f^2 + ... + f^cap), one reference product and sum per power."""
+    field, f = s.alg.field, s.body.as_dict()
+    power, total = {"": field.one()}, {}
+    for _ in range(s.cap):
+        power = oracles.dict_mul(field, power, f, s.cap)
+        total = oracles.dict_add(field, total, power)
+    return oracles.dict_neg(field, total)
+
+
+@pytest.mark.parametrize("which", ["Q", "F7", "F2^61-1"])
+def test_quasi_inverse_matches_power_by_power_oracle(which, alg_q, alg_f7, alg_fbig):
+    a = {"Q": alg_q, "F7": alg_f7}.get(which, alg_fbig)
+    for cap in range(1, 8):
+        for t in range(6):
+            rng = rng_for(37, "qi-oracle", which, cap, t)
+            f = random_series(a, cap, rng, max_terms=rng.randint(1, 5))
+            got = quasi_inverse(f).body
+            assert got.as_dict() == _oracle_quasi_inverse(f)
+            assert all(oracles.is_canonical_scalar(a.field, c) for _, c in got.terms)
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    """Wrap module.name so that each call appends its arguments to a list."""
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_quasi_inverse_stops_at_a_power_the_cap_kills(alg, monkeypatch):
+    # (x*y)^2 has degree 4 > 3: the loop forms f = 1*f and f^2 = 0, and stops
+    products = _count_calls(monkeypatch, seriesring, "_product")
+    g = quasi_inverse(ts(alg, "x*y", 3))
+    assert str(g) == "-x*y"
+    assert len(products) == 2
+
+
+def test_inverses_clear_their_factor_once(alg, alg7, monkeypatch):
+    # over Q the factor's coefficients are cleared to ints once, the powers
+    # and sums stay ints; over F_p the residues are used as they are
+    rng = rng_for(38, "clear-once")
+    f = ts(alg, "x + 1/2*x*y - 2/3*y*y*x", 7)
+    m = SeriesMatrix.identity(alg, 3, 6) + random_radical_matrix(alg, 3, 6, rng)
+    m7 = SeriesMatrix.identity(alg7, 2, 6) + random_radical_matrix(alg7, 2, 6, rng)
+    # _int_terms looks _cleared up in ncpoly, where fields' function is bound
+    cleared = _count_calls(monkeypatch, ncpoly, "_cleared")
+    quasi_inverse(f)
+    assert len(cleared) == 1
+    neumann_inverse(m)
+    assert len(cleared) == 2
+    neumann_inverse(m7)
+    quasi_inverse(ts(alg7, "x + 3*x*y", 5))
+    assert len(cleared) == 2
 
 
 def test_circle_group_laws(alg):
@@ -433,6 +507,67 @@ def test_neumann_inverse_random(alg, alg7):
             assert (m @ w).is_identity()
             assert (w @ m).is_identity()
             assert m @ w == w @ m
+
+
+def _oracle_neumann_inverse(m: SeriesMatrix) -> list[list[dict]]:
+    """I + (I - M) + ... + (I - M)^cap, one reference product and sum per
+    term of each inner product."""
+    field, n, cap = m.alg.field, m.n, m.cap
+    ident = [[{"": field.one()} if i == j else {} for j in range(n)] for i in range(n)]
+    neg_n = [
+        [oracles.dict_add(field, ident[i][j], oracles.dict_neg(field, e.body.as_dict()))
+         for j, e in enumerate(row)]
+        for i, row in enumerate(m.entries)
+    ]
+    power, total = ident, ident
+    for _ in range(cap):
+        nxt = [[{} for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    nxt[i][j] = oracles.dict_add(
+                        field, nxt[i][j], oracles.dict_mul(field, power[i][k], neg_n[k][j], cap))
+        power = nxt
+        total = [
+            [oracles.dict_add(field, s, t) for s, t in zip(rs, rt)] for rs, rt in zip(total, power)
+        ]
+    return total
+
+
+@pytest.mark.parametrize("which", ["Q", "F7", "F2^61-1"])
+def test_neumann_inverse_matches_power_by_power_oracle(which, alg_q, alg_f7, alg_fbig):
+    a = {"Q": alg_q, "F7": alg_f7}.get(which, alg_fbig)
+    for n in (1, 2, 3):
+        for cap in range(1, 6):
+            for t in range(2):
+                rng = rng_for(39, "neumann-oracle", which, n, cap, t)
+                m = SeriesMatrix.identity(a, n, cap) + SeriesMatrix(tuple(
+                    tuple(random_series(a, cap, rng) if rng.random() < 0.8
+                          else TruncSeries.zero(a, cap) for _ in range(n))
+                    for _ in range(n)))
+                w = neumann_inverse(m)
+                assert w.n == n and w.cap == cap
+                want = _oracle_neumann_inverse(m)
+                for i in range(n):
+                    for j in range(n):
+                        got = w.entries[i][j].body
+                        assert got.as_dict() == want[i][j]
+                        assert all(oracles.is_canonical_scalar(a.field, c) for _, c in got.terms)
+
+
+def test_neumann_inverse_stops_at_a_power_that_cancels_mod_p(alg7, monkeypatch):
+    # N = [[x, 6x], [x, 6x]] over F_7: each entry of N^2 is 7*x*x or 42*x*x,
+    # 0 mod 7 though its int sum is not 0, and far below the cap.  The loop
+    # forms -N = I*(-N) and (-N)^2 = 0, one pair loop per entry, and stops.
+    m = SeriesMatrix((
+        (ts(alg7, "1 + x", 6), ts(alg7, "6*x", 6)),
+        (ts(alg7, "x", 6), ts(alg7, "1 + 6*x", 6)),
+    ))
+    products = _count_calls(monkeypatch, seriesring, "_product")
+    w = neumann_inverse(m)
+    assert len(products) == 2 * 4
+    assert w == SeriesMatrix.identity(alg7, 2, 6) - (m - SeriesMatrix.identity(alg7, 2, 6))
+    assert (m @ w).is_identity() and (w @ m).is_identity()
 
 
 def test_neumann_inverse_rejects_bad_constant_part(alg):
