@@ -22,7 +22,7 @@ def main() -> None:
     ap.add_argument("--presentation", default="irving", help="file path or bundled preset name")
     ap.add_argument("--max-degree", type=_nonnegative, default=8, help="normal-word table depth")
     ap.add_argument("--trials", type=_positive, default=100, help="identity fuzz trials")
-    ap.add_argument("--max-deg", type=_nonnegative, default=4, help="degree bound for fuzz substitutions")
+    ap.add_argument("--max-deg", type=_positive, default=4, help="degree bound for fuzz substitutions")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

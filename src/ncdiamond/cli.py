@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identity", help="fuzz the triple-commutator identity on normal forms")
     p.add_argument("presentation")
     p.add_argument("--trials", type=_positive, default=200)
-    p.add_argument("--max-deg", type=_nonnegative, default=4)
+    p.add_argument("--max-deg", type=_positive, default=4)
     _add_seed(p)
     _add_pretty(p)
     p.set_defaults(handler=_cmd_identity)

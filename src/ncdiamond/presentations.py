@@ -26,7 +26,7 @@ from importlib import resources
 from pathlib import Path
 
 from .fields import Field, FieldError
-from .ncpoly import FreeAlgebra, NcPoly, ParseError
+from .ncpoly import FreeAlgebra, NcPoly, ParseError, Word
 from .rewrite import LemmaWitness, RewriteRule, RewriteSystem
 
 _WITNESS_LETTERS = ("x", "y", "z", "a", "b")
@@ -67,7 +67,7 @@ def parse_presentation(text: str, name: str = "<string>") -> Presentation:
     field: Field | None = None
     gens: tuple[str, ...] | None = None
     alg: FreeAlgebra | None = None
-    rules: list[RewriteRule] = []
+    rules: dict[Word, RewriteRule] = {}  # by left side, in file order
     witness: LemmaWitness | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -114,7 +114,7 @@ def parse_presentation(text: str, name: str = "<string>") -> Presentation:
             if lead_w == "":
                 raise err("relation with constant leading term collapses the algebra")
             rhs = alg.monomial(lead_w) - p.scale(field.inv(lead_c))
-            rules.append(RewriteRule(lead_w, rhs))
+            rule = RewriteRule(lead_w, rhs)
         elif keyword == "rule":
             lhs_text, arrow, rhs_text = rest.partition("->")
             if not arrow:
@@ -129,7 +129,7 @@ def parse_presentation(text: str, name: str = "<string>") -> Presentation:
             lhs_w = lhs_poly.terms[0][0]
             if lhs_w == "":
                 raise err("rule left side must be a nonempty word")
-            rules.append(RewriteRule(lhs_w, rhs_poly))
+            rule = RewriteRule(lhs_w, rhs_poly)
         elif keyword == "witness":
             if witness is not None:
                 raise err("duplicate 'witness' line")
@@ -150,15 +150,21 @@ def parse_presentation(text: str, name: str = "<string>") -> Presentation:
             if missing:
                 raise err(f"witness is missing components: {', '.join(missing)}")
             witness = LemmaWitness(**seen)
+            continue
         else:
             raise err(f"unknown keyword {keyword!r}")
 
+        # Check the new rule alone, after the earlier rule with its left side
+        # if any, so an error names this line and the parse stays linear.
+        earlier = rules.setdefault(rule.lhs, rule)
+        try:
+            RewriteSystem(alg, (rule,) if earlier is rule else (earlier, rule))
+        except ValueError as exc:
+            raise err(str(exc))
+
     if alg is None:
         raise PresentationError("no 'field'/'gens' declarations found", name, 1)
-    try:
-        system = RewriteSystem(alg, tuple(rules))
-    except ValueError as exc:
-        raise PresentationError(str(exc), name, 1)
+    system = RewriteSystem(alg, tuple(rules.values()))
     return Presentation(name=name, alg=alg, system=system, witness=witness)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import lshift, mul
+from operator import add, lshift, mul, sub
 from typing import Mapping, Sequence
 
 from .fields import Field, FieldError, Scalar, _cleared
@@ -100,44 +100,32 @@ class ExactMatrix:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+    def _reduced(self, rows) -> "ExactMatrix":
+        """A matrix over self's field from rows of entrywise results: kept as
+        they are over Q, reduced mod p over F_p."""
+        p = self.field.p
+        if p is None:
+            return ExactMatrix._raw(self.field, tuple(map(tuple, rows)))
+        return ExactMatrix._raw(self.field, tuple(tuple(a % p for a in row) for row in rows))
+
+    def _entrywise(self, op, other: "ExactMatrix") -> "ExactMatrix":
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix sizes differ")
-        f = self.field
-        if f.p is None:
-            return ExactMatrix._raw(
-                f,
-                tuple(
-                    tuple(a + b for a, b in zip(ra, rb))
-                    for ra, rb in zip(self.entries, other.entries)
-                ),
-            )
-        p = f.p
-        return ExactMatrix._raw(
-            f,
-            tuple(
-                tuple((a + b) % p for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
+        return self._reduced(map(op, ra, rb) for ra, rb in zip(self.entries, other.entries))
+
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + (-other)
+        return self._entrywise(sub, other)
 
     def __neg__(self) -> "ExactMatrix":
-        f = self.field
-        if f.p is None:
-            return ExactMatrix._raw(f, tuple(tuple(-a for a in row) for row in self.entries))
-        p = f.p
-        return ExactMatrix._raw(f, tuple(tuple(-a % p for a in row) for row in self.entries))
+        return self.scale(-1)
 
     def scale(self, c: Scalar) -> "ExactMatrix":
-        f = self.field
-        c = f.normalize(c)
-        return ExactMatrix._raw(
-            f, tuple(tuple(f.mul(a, c) for a in row) for row in self.entries)
-        )
+        c = self.field.normalize(c)
+        return self._reduced([a * c for a in row] for row in self.entries)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         self._check(other)

@@ -257,7 +257,7 @@ def test_fuzz_rank_over_q_and_zero_trials(capsys):
     [
         (["identity", "irving", "--trials", "-5"], "--trials: must be at least 1, got -5"),
         (["identity", "irving", "--trials", "0"], "--trials: must be at least 1, got 0"),
-        (["identity", "irving", "--max-deg", "-1"], "--max-deg: must be at least 0, got -1"),
+        (["identity", "irving", "--max-deg", "-1"], "--max-deg: must be at least 1, got -1"),
         (["fuzz-rank", "--n", "0"], "--n: must be at least 1, got 0"),
         (["fuzz-rank", "--n", "-3"], "--n: must be at least 1, got -3"),
         (["fuzz-rank", "--trials", "0"], "--trials: must be at least 1, got 0"),
@@ -269,6 +269,7 @@ def test_fuzz_rank_over_q_and_zero_trials(capsys):
         (["confluence", "irving", "--max-steps", "-1"], "--max-steps: must be at least 0, got -1"),
         (["witness", "irving", "--max-steps", "-1"], "--max-steps: must be at least 0, got -1"),
         (["identity", "irving", "--trials", "many"], "--trials: invalid integer value: 'many'"),
+        (["identity", "irving", "--max-deg", "0"], "--max-deg: must be at least 1, got 0"),
     ],
 )
 def test_out_of_range_counts_exit_2(capsys, argv, message):

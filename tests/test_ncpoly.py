@@ -108,6 +108,9 @@ def test_parse_error_positions(alg_q):
     with pytest.raises(ParseError):
         alg_q.parse("")
     with pytest.raises(ParseError) as e:
+        alg_q.parse("\u00b2")  # a digit to str.isdigit, but not one int() reads
+    assert "unexpected character" in str(e.value) and e.value.pos == 0
+    with pytest.raises(ParseError) as e:
         alg_q.parse("x + z")
     assert "unknown generator" in str(e.value) and e.value.pos == 4
     with pytest.raises(ParseError):

@@ -134,8 +134,14 @@ def test_witness_parsing_whitespace_tolerant():
         ),
         ("# nothing but comments\n", 1, "no 'field'/'gens'"),
         ("", 1, "no 'field'/'gens'"),
-        # orientation failure surfaces through the rewrite-system validation
-        ("field Q\ngens x y\nrule x -> y*x*y\n", 1, "not deglex-decreasing"),
+        (
+            "field Q\ngens x y\nrel x*x\nrel y*x*y - \u00b2*x\n",
+            4,
+            "bad relation: unexpected character '\u00b2' (at position 8)",
+        ),
+        # rewrite-system validation errors name the offending rule's line
+        ("field Q\ngens x y\nrule x -> y*x*y\n", 3, "not deglex-decreasing"),
+        ("field Q\ngens x y\nrel x*x\nrel y*y\nrule x*x -> y\n", 5, "two rules share the left-hand side x*x"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, lineno, fragment):

@@ -63,11 +63,15 @@ def test_matrix_shape_errors():
     with pytest.raises(ValueError):
         a + tall
     with pytest.raises(ValueError):
+        a - tall
+    with pytest.raises(ValueError):
         tall @ a  # 2x1 times 2x2
     with pytest.raises(ValueError):
         a.hstack(ExactMatrix(Q, [[1, 2]]))
     with pytest.raises(FieldError):
         a + ExactMatrix(F7, [[1, 2], [3, 4]])
+    with pytest.raises(FieldError):
+        a - ExactMatrix(F7, [[1, 2], [3, 4]])
 
 
 def test_matrix_transpose_hstack_scale():
@@ -129,6 +133,42 @@ def test_matmul_matches_schoolbook(which):
             for x in (x for row in C.entries for x in row):
                 assert type(x) is Fraction
                 assert math.gcd(x.numerator, x.denominator) == 1 and x.denominator > 0
+
+
+def entrywise(f, op, *mats):
+    """The matrix whose entries are op of the matrices' entries, one field
+    call each."""
+    return ExactMatrix._raw(f, tuple(tuple(map(op, *rows)) for rows in zip(*(m.entries for m in mats))))
+
+
+def canonical_entries(f, M):
+    """Every entry in the field's own form: nonzero ones canonical, zeros
+    of the type of the field's zero."""
+    return all(
+        oracles.is_canonical_scalar(f, x) if x else type(x) is type(f.zero())
+        for row in M.entries
+        for x in row
+    )
+
+
+@pytest.mark.parametrize("which", list(KERNEL_FIELDS))
+def test_entrywise_matches_field_ops(which):
+    f = KERNEL_FIELDS[which]
+    for t, (a, _, b) in enumerate(kernel_shapes(which, 40)):
+        rng = rng_for(46, "entrywise", which, t)
+        A = ExactMatrix(f, random_entries(f, a, b, rng))
+        B = ExactMatrix(f, random_entries(f, a, b, rng))
+        pairs = [
+            (A + B, entrywise(f, f.add, A, B)),
+            (A - B, entrywise(f, f.sub, A, B)),
+            (-A, entrywise(f, f.neg, A)),
+        ]
+        for c in (0, 1, -1, f.random_scalar(rng)):
+            pairs.append((A.scale(c), entrywise(f, lambda x: f.mul(x, f.normalize(c)), A)))
+        for M, want in pairs:
+            assert (M.rows, M.cols) == (a, b)
+            assert M == want
+            assert canonical_entries(f, M)
 
 
 @pytest.mark.parametrize("which", list(KERNEL_FIELDS))

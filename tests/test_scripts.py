@@ -94,6 +94,7 @@ def test_script_quiet_when_reader_closes_early():
             ["--presentation", "nope"],
             "argument --presentation: no presentation file at 'nope' and no bundled preset 'nope.pres'",
         ),
+        ("irving_tour.py", ["--max-deg", "0"], "argument --max-deg: must be at least 1, got 0"),
     ],
 )
 def test_script_rejects_out_of_range_counts(script, args, message):

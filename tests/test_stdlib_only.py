@@ -1,4 +1,5 @@
-"""The library imports nothing outside the Python standard library."""
+"""The library and the scripts import nothing outside the Python standard
+library, so both run on a bare interpreter (the scripts with PYTHONPATH=src)."""
 
 import ast
 import sys
@@ -19,8 +20,7 @@ def absolute_imports(path: Path):
             yield node.module.split(".")[0]
 
 
-def test_library_imports_only_the_standard_library():
-    modules = sorted(Path(ncdiamond.__file__).parent.rglob("*.py"))
+def assert_stdlib_only(modules: list[Path]) -> None:
     assert modules
     outside = {
         f"{path.name}: {name}"
@@ -29,3 +29,11 @@ def test_library_imports_only_the_standard_library():
         if name not in ALLOWED
     }
     assert not outside, sorted(outside)
+
+
+def test_library_imports_only_the_standard_library():
+    assert_stdlib_only(sorted(Path(ncdiamond.__file__).parent.rglob("*.py")))
+
+
+def test_scripts_import_only_the_standard_library():
+    assert_stdlib_only(sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py")))
