@@ -16,8 +16,9 @@ residues over F_p), and one pair loop (``_product``) sums the products of
 term pairs as plain ints.  Decoding (``_decoded``) is a separate step,
 one Fraction over Q or one reduction mod p over F_p per output word, so a
 caller that chains products keeps the int sums between them and decodes
-once at the end.  Truncated series, their matrices, and the quasi-inverse
-and Neumann sums all run the same pair loop.
+once at the end.  Truncated series, their matrices, the quasi-inverse
+and Neumann sums, and the triple-commutator chain all run the same pair
+loop.
 """
 
 from __future__ import annotations
@@ -345,6 +346,13 @@ def _product(
                 w = u + v
                 acc[w] = get(w, 0) + a * b
     return acc
+
+
+def _nonzero(acc: dict[Word, int], p: int | None) -> list[tuple[Word, int]]:
+    """The terms of an int sum that are not 0, as residues over F_p."""
+    if p is None:
+        return [(w, c) for w, c in acc.items() if c]
+    return [(w, c % p) for w, c in acc.items() if c % p]
 
 
 def _decoded(alg: FreeAlgebra, terms: Iterable[tuple[Word, int]], d: int) -> NcPoly:

@@ -109,6 +109,8 @@ class ExactMatrix:
         return ExactMatrix._raw(self.field, tuple(tuple(a % p for a in row) for row in rows))
 
     def _entrywise(self, op, other: "ExactMatrix") -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix sizes differ")
@@ -128,6 +130,8 @@ class ExactMatrix:
         return self._reduced([a * c for a in row] for row in self.entries)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         self._check(other)
         if self.cols != other.rows:
             raise ValueError(

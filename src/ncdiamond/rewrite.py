@@ -11,8 +11,10 @@ Reduction adds no Fractions term by term.  Each rule's right side is
 cleared once, to (word, int) terms over one divisor; the terms being reduced
 are numerators over one common divisor over Q, which a step scales only when
 the rule's divisor does not divide its coefficient, and residues reduced at
-each add over F_p.  Each output word is decoded once.  Critical pairs enter
-the loop as the int terms their splices make, never as decoded reducts.
+each add over F_p.  The loop hands back int terms, so each output word is
+decoded once.  Critical pairs enter the loop as the int terms their splices
+make, never as decoded reducts, and the triple-commutator chain feeds each
+normal form to the next product as int terms, decoding only its value.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from math import gcd
 
 from .fields import FieldError, Scalar
 from .ncpoly import (
-    EMPTY_WORD, FreeAlgebra, NcPoly, Word, _decoded, _int_terms, _product, deglex_compare,
+    EMPTY_WORD, FreeAlgebra, NcPoly, Word, _decoded, _int_terms, _nonzero, _product,
+    deglex_compare,
 )
 from .seeding import rng_for
 
@@ -150,10 +153,12 @@ def _reduce(
     p: NcPoly, sys: RewriteSystem, max_steps: int, snapshots: list[NcPoly] | None = None
 ) -> NcPoly:
     """Normalize p with :func:`_reduce_terms`, after clearing it to int
-    terms.  ``snapshots``, when given, starts as [p]."""
+    terms, and decode the result.  ``snapshots``, when given, starts as [p]
+    and ends with the result."""
     _check_alg(p, sys)
     (start,), D = _int_terms((p,))
-    return _reduce_terms(dict(start), D, sys, max_steps, snapshots)
+    terms, D = _reduce_terms(dict(start), D, sys, max_steps, snapshots)
+    return snapshots[-1] if snapshots else _decoded(sys.alg, terms, D)
 
 
 def _reduce_terms(
@@ -163,7 +168,7 @@ def _reduce_terms(
     max_steps: int,
     snapshots: list[NcPoly] | None = None,
     rewritten: list[Word] | None = None,
-) -> NcPoly:
+) -> tuple[list[tuple[Word, int]], int]:
     """The one reduction loop behind normal_form, reduction_trace and the
     critical pairs.
 
@@ -179,11 +184,14 @@ def _reduce_terms(
     g = gcd(c, e); when e does not divide c, every term and D are first
     scaled by e / g.  A word whose coefficient is 0 leaves without a step.
     Spliced words are deglex-smaller than the popped word, so none comes
-    back.  Each output word is decoded once; over Q the snapshots
-    decode only the words each step touched.  ``snapshots``, when given,
-    ends with the polynomial ``terms`` holds, and its last entry is
-    returned.  ``rewritten``, when given, receives each word rewritten with
-    a nonzero coefficient, in the order of the steps.
+    back.
+
+    Returns the normal form undecoded: its (word, int) terms with the
+    zero coefficients dropped, and their divisor, which a caller decodes
+    once or feeds to the next product.  Over Q the snapshots decode only
+    the words each step touched.  ``snapshots``, when given, ends with the
+    polynomial ``terms`` holds.  ``rewritten``, when given, receives each
+    word rewritten with a nonzero coefficient, in the order of the steps.
     """
     alg = sys.alg
     mod = alg.field.p
@@ -234,9 +242,7 @@ def _reduce_terms(
                 shown[u] = Fraction(a, D)
         if snapshots is not None:
             snapshots.append(NcPoly._canonical(alg, shown))
-    if snapshots:
-        return snapshots[-1]
-    return _decoded(alg, terms.items(), D) if mod is None else NcPoly._canonical(alg, terms)
+    return [(w, c) for w, c in terms.items() if c], D
 
 
 def normal_form(p: NcPoly, sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPoly:
@@ -393,13 +399,13 @@ def _first_unresolved(sys: RewriteSystem, pairs: list[list[list]], max_steps: in
                 terms[u] = m if mod is None else m % mod
             rewritten: list[Word] = []
             try:
-                diff = _reduce_terms(terms, e_a * e_b, sys, max_steps, rewritten=rewritten)
+                diff, D = _reduce_terms(terms, e_a * e_b, sys, max_steps, rewritten=rewritten)
             except StepBudgetExceeded as exc:
                 raise StepBudgetExceeded(
                     f"critical pair at {sys.alg.word_str(amb.word)}: {exc}"
                 ) from None
             if diff:
-                return amb, diff
+                return amb, _decoded(sys.alg, diff, D)
             entry[1:] = n, sep.join(rewritten)
     return None
 
@@ -503,8 +509,16 @@ def random_poly(sys: RewriteSystem, max_deg: int, rng, max_terms: int = 4) -> Nc
     empty word is always normal), a uniform normal word of that degree, and
     a uniform nonzero coefficient.  Colliding words merge, so the result may
     have fewer terms or even be zero."""
-    levels = _normal_words_by_degree(sys, max_deg)
-    f = sys.alg.field
+    return _random_poly_over(sys.alg, _normal_words_by_degree(sys, max_deg), rng, max_terms)
+
+
+def _random_poly_over(
+    alg: FreeAlgebra, levels: list[list[Word]], rng, max_terms: int = 4
+) -> NcPoly:
+    """:func:`random_poly` over the normal words ``levels`` of degree 0 to
+    max_deg, so that many draws share one enumeration."""
+    max_deg = len(levels) - 1
+    f = alg.field
     acc: dict[Word, Scalar] = {}
     for _ in range(rng.randint(1, max_terms)):
         d = rng.randint(0, max_deg)
@@ -513,7 +527,7 @@ def random_poly(sys: RewriteSystem, max_deg: int, rng, max_terms: int = 4) -> Nc
         w = rng.choice(levels[d])
         c = f.random_nonzero(rng)
         acc[w] = f.add(acc.get(w, 0), c)
-    return NcPoly(sys.alg, acc)
+    return NcPoly(alg, acc)
 
 
 # -- the triple-commutator identity --------------------------------------------------
@@ -546,20 +560,27 @@ def triple_commutator_nf(
 
     Factors are normalized as they are multiplied in; on a confluent system
     this equals reducing the expanded product, at a fraction of the cost.
-    Each x*y - y*x is one integer product run over the pairs (x, y), (-y, x).
+    Each x*y - y*x is one integer product run over the pairs (x, y), (-y, x),
+    and each acc * comm one run over the two normal forms' int terms; each
+    product enters the reduction loop with its zero sums dropped, as
+    residues over F_p.  The running product stays int terms over one
+    divisor, decoded once at the end; each of the six reductions has its
+    own max_steps budget.
     """
     if len(substitution) != 6:
         raise ValueError("the substitution names six polynomials X1,Y1,X2,Y2,X3,Y3")
-    acc = sys.alg.one()
+    mod = sys.alg.field.p
+    acc, D = [(EMPTY_WORD, 1)], 1
     for i in range(3):
         x, y = substitution[2 * i], substitution[2 * i + 1]
         x._check(y)
+        _check_alg(x, sys)
         (xs, ys), d = _int_terms((x, y))
         pairs = ((xs, ys), ([(w, -n) for w, n in ys], xs))
-        comm = _decoded(x.alg, _product(pairs, None).items(), d * d)
-        comm = normal_form(comm, sys, max_steps)
-        acc = normal_form(acc * comm, sys, max_steps)
-    return acc
+        comm, e = _reduce_terms(dict(_nonzero(_product(pairs, None), mod)), d * d, sys, max_steps)
+        product = _nonzero(_product(((acc, comm),), None), mod)
+        acc, D = _reduce_terms(dict(product), D * e, sys, max_steps)
+    return _decoded(sys.alg, acc, D)
 
 
 def verify_identity_comm3(
@@ -570,11 +591,17 @@ def verify_identity_comm3(
     Draws per-trial RNGs from the seed, samples six random normal-word
     polynomials of degree <= max_deg each, and reduces the product.  Stops
     at the first nonzero value, a counterexample only if the rules are
-    confluent (a value that reduces to 0 is 0 on any rules).
+    confluent (a value that reduces to 0 is 0 on any rules).  Trials and
+    max_deg must be at least 1: a degree-0 substitution is scalars, whose
+    commutators vanish in any algebra.
     """
+    for name, value in (("trials", trials), ("max_deg", max_deg)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    levels = _normal_words_by_degree(sys, max_deg)
     for t in range(trials):
         rng = rng_for(seed, "comm3", t)
-        subs = tuple(random_poly(sys, max_deg, rng) for _ in range(6))
+        subs = tuple(_random_poly_over(sys.alg, levels, rng) for _ in range(6))
         value = triple_commutator_nf(sys, subs)
         if value:
             if not _confluent(sys):

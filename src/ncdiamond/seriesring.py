@@ -30,7 +30,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fields import FieldError, Scalar
-from .ncpoly import EMPTY_WORD, FreeAlgebra, NcPoly, Word, _decoded, _int_terms, _product
+from .ncpoly import (
+    EMPTY_WORD, FreeAlgebra, NcPoly, Word, _decoded, _int_terms, _nonzero, _product,
+)
 
 
 @dataclass(frozen=True)
@@ -486,13 +488,6 @@ def _power_sum(
                 for w, c in t:
                     s[w] = s.get(w, 0) + c
     return total, e
-
-
-def _nonzero(acc: dict[Word, int], p: int | None) -> list[tuple[Word, int]]:
-    """The terms of an int sum that are not 0, as residues over F_p."""
-    if p is None:
-        return [(w, c) for w, c in acc.items() if c]
-    return [(w, c % p) for w, c in acc.items() if c % p]
 
 
 @dataclass(frozen=True)

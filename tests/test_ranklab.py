@@ -72,6 +72,13 @@ def test_matrix_shape_errors():
         a + ExactMatrix(F7, [[1, 2], [3, 4]])
     with pytest.raises(FieldError):
         a - ExactMatrix(F7, [[1, 2], [3, 4]])
+    # a non-matrix operand gets NotImplemented, so Python raises TypeError
+    with pytest.raises(TypeError):
+        a + 3
+    with pytest.raises(TypeError):
+        a - 3
+    with pytest.raises(TypeError):
+        a @ 3
 
 
 def test_matrix_transpose_hstack_scale():

@@ -27,6 +27,7 @@ from ncdiamond import (
     verify_identity_comm3,
     verify_lemma_witness,
 )
+from ncdiamond import ncpoly, rewrite
 from ncdiamond.ncpoly import _int_terms
 from ncdiamond.rewrite import DEFAULT_STEP_BUDGET, _confluent, _first_unresolved, _reduce_terms
 from ncdiamond.seeding import rng_for
@@ -647,6 +648,122 @@ def test_comm3_matches_full_expansion_oracle(irving):
         assert triple_commutator_nf(irving.system, subs) == oracles.oracle_comm3(
             irving.system, subs
         )
+
+
+WEYL_RULE = "y*x -> x*y + 1"
+
+
+@pytest.mark.parametrize("field", ["q", "f7", "fbig", "free"])
+def test_comm3_nonzero_values_match_full_expansion_oracle(field, alg_q, alg_f7, alg_fbig):
+    # the Weyl algebra and the free algebra satisfy no polynomial identity,
+    # so a wrong divisor or residue shows in a nonzero value
+    alg = {"q": alg_q, "f7": alg_f7, "fbig": alg_fbig, "free": alg_q}[field]
+    sys_ = RewriteSystem(alg, ()) if field == "free" else make_system(alg, WEYL_RULE)
+    nonzero = 0
+    for t in range(12):
+        rng = rng_for(18, "comm3nonzero", field, t)
+        subs = tuple(random_poly(sys_, 2, rng, max_terms=3) for _ in range(6))
+        value = triple_commutator_nf(sys_, subs)
+        assert value == oracles.oracle_comm3(sys_, subs)
+        nonzero += bool(value)
+    assert nonzero
+
+
+def stepwise_comm3(sys_, subs):
+    """[X1,Y1][X2,Y2][X3,Y3] with each commutator and each partial product
+    brought to normal form through NcPoly arithmetic, and the most steps
+    any of the six reductions took."""
+    steps = []
+
+    def nf(p):
+        trace = reduction_trace(p, sys_)
+        steps.append(len(trace) - 1)
+        return trace[-1]
+
+    acc = sys_.alg.one()
+    for x, y in zip(subs[::2], subs[1::2]):
+        acc = nf(acc * nf(x * y - y * x))
+    return acc, max(steps)
+
+
+def test_comm3_reduces_each_commutator_and_product_on_its_own_budget(
+    irving, cohnsasiada, alg_q, alg_f7, alg_fbig
+):
+    # the chain makes the six reductions stepwise normal forms make, in the
+    # same order: equal values on rules that are not confluent too, and
+    # each reduction has the whole budget
+    systems = [
+        irving.system,
+        cohnsasiada.system,
+        make_system(alg_q, *FRACTIONAL_RULES),
+        make_system(alg_f7, *FRACTIONAL_RULES),
+        make_system(alg_fbig, WEYL_RULE),
+    ]
+    for k, sys_ in enumerate(systems):
+        for t in range(8):
+            rng = rng_for(18, "comm3steps", k, t)
+            subs = tuple(random_poly(sys_, 2, rng, max_terms=3) for _ in range(6))
+            want, need = stepwise_comm3(sys_, subs)
+            assert triple_commutator_nf(sys_, subs, max_steps=need) == want
+            if need:
+                with pytest.raises(StepBudgetExceeded, match=f"after {need - 1} rewrites"):
+                    triple_commutator_nf(sys_, subs, max_steps=need - 1)
+
+
+def _spy(monkeypatch, module, name, record) -> list:
+    """Wrap module.name so that each call appends record(*args) to a list."""
+    calls, real = [], getattr(module, name)
+
+    def spied(*args):
+        calls.append(record(*args))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spied)
+    return calls
+
+
+def test_comm3_clears_each_pair_once_and_decodes_once(alg_q, monkeypatch):
+    # over Q each (X, Y) pair is cleared to ints once; the commutators,
+    # products and reductions stay ints and the value is decoded once
+    weyl = make_system(alg_q, WEYL_RULE)
+    subs = tuple(alg_q.parse(s) for s in ("1/2*x", "y*y", "2/3*x*y", "y", "x", "3/4*y"))
+    # _int_terms looks _cleared up in ncpoly, where fields' function is bound
+    cleared = _spy(monkeypatch, ncpoly, "_cleared", lambda *a: a)
+    decoded = _spy(monkeypatch, rewrite, "_decoded", lambda *a: a)
+    value = triple_commutator_nf(weyl, subs)
+    assert len(cleared) == 3 and len(decoded) == 1
+    assert value == oracles.oracle_comm3(weyl, subs) and value
+
+
+@pytest.mark.parametrize("field", ["q", "f7"])
+def test_comm3_products_enter_the_loop_without_zero_sums(field, alg_q, alg_f7, monkeypatch):
+    # six reductions per value, each entered with nonzero ints: residues
+    # in [1, p) over F_p
+    alg = alg_q if field == "q" else alg_f7
+    sys_ = make_system(alg, WEYL_RULE)
+    p = alg.field.p
+    entered = _spy(monkeypatch, rewrite, "_reduce_terms", lambda terms, *rest: list(terms.values()))
+    for t in range(10):
+        rng = rng_for(18, "comm3enter", field, t)
+        triple_commutator_nf(sys_, tuple(random_poly(sys_, 2, rng) for _ in range(6)))
+    assert len(entered) == 60
+    for coeffs in entered:
+        assert 0 not in coeffs
+        assert p is None or all(0 < c < p for c in coeffs)
+
+
+@pytest.mark.parametrize(
+    "trials, max_deg, message",
+    [
+        (0, 2, "trials must be at least 1, got 0"),
+        (5, 0, "max_deg must be at least 1, got 0"),
+        (5, -1, "max_deg must be at least 1, got -1"),
+    ],
+)
+def test_verify_identity_rejects_vacuous_runs(irving, trials, max_deg, message):
+    # no trial, or degree-0 substitutions, whose commutators are all 0
+    with pytest.raises(ValueError, match=message):
+        verify_identity_comm3(irving.system, trials, max_deg, seed=1)
 
 
 def test_verify_identity_holds_on_irving(irving):
