@@ -110,26 +110,22 @@ def parse_presentation(text: str, name: str = "<string>") -> Presentation:
                 raise err(f"bad relation: {exc}")
             if p.is_zero():
                 raise err("relation reduces to 0, nothing to orient")
-            lead_w, lead_c = p.leading_term()
-            if lead_w == "":
+            lhs, lead_c = p.leading_term()
+            if lhs == "":
                 raise err("relation with constant leading term collapses the algebra")
-            rhs = alg.monomial(lead_w) - p.scale(field.inv(lead_c))
-            rule = RewriteRule(lead_w, rhs)
+            rhs = alg.monomial(lhs) - p.scale(field.inv(lead_c))
         elif keyword == "rule":
             lhs_text, arrow, rhs_text = rest.partition("->")
             if not arrow:
                 raise err("'rule' line needs '->'")
             try:
                 lhs_poly = alg.parse(lhs_text.strip())
-                rhs_poly = alg.parse(rhs_text.strip())
+                rhs = alg.parse(rhs_text.strip())
             except ParseError as exc:
                 raise err(f"bad rule: {exc}")
             if len(lhs_poly.terms) != 1 or lhs_poly.terms[0][1] != field.one():
                 raise err("rule left side must be a single monomial with coefficient 1")
-            lhs_w = lhs_poly.terms[0][0]
-            if lhs_w == "":
-                raise err("rule left side must be a nonempty word")
-            rule = RewriteRule(lhs_w, rhs_poly)
+            lhs = lhs_poly.terms[0][0]
         elif keyword == "witness":
             if witness is not None:
                 raise err("duplicate 'witness' line")
@@ -154,13 +150,13 @@ def parse_presentation(text: str, name: str = "<string>") -> Presentation:
         else:
             raise err(f"unknown keyword {keyword!r}")
 
-        # Check the new rule alone, after the earlier rule with its left side
-        # if any, so an error names this line and the parse stays linear.
-        earlier = rules.setdefault(rule.lhs, rule)
         try:
-            RewriteSystem(alg, (rule,) if earlier is rule else (earlier, rule))
+            rule = RewriteRule(lhs, rhs)
+            if lhs in rules:  # the system's message, at this line
+                RewriteSystem(alg, (rules[lhs], rule))
         except ValueError as exc:
             raise err(str(exc))
+        rules[lhs] = rule
 
     if alg is None:
         raise PresentationError("no 'field'/'gens' declarations found", name, 1)

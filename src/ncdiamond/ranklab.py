@@ -91,6 +91,8 @@ class ExactMatrix:
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         """Columns of self followed by columns of other (same row count)."""
+        if not isinstance(other, ExactMatrix):
+            raise TypeError(f"hstack needs a matrix, got {type(other).__name__}")
         self._check(other)
         if self.rows != other.rows:
             raise ValueError("hstack needs equal row counts")
@@ -476,15 +478,15 @@ class RankFuzzReport:
     n: int
     trials: int
     violations: int
-    min_margin: int | None
+    min_margin: int
     first_violation: int | None
 
 
 def fuzz_bound_checks(
     field: Field, n: int, trials: int, seed: int, check: str = "master"
 ) -> RankFuzzReport:
-    """Run one of the rank inequalities on random matrices with uniformly
-    chosen target ranks.
+    """Run one of the rank inequalities on trials >= 1 draws of random n x n
+    matrices, n >= 1, with uniformly chosen target ranks.
 
     check = "claim":        random X, Y, Z, B; margin of the claim bound.
     check = "master":       random X, Y, Z, A, B; the master margin.
@@ -493,9 +495,10 @@ def fuzz_bound_checks(
     """
     if check not in ("claim", "master", "intersection"):
         raise ValueError(f"unknown check {check!r}")
-    violations = 0
-    first_violation: int | None = None
-    min_margin: int | None = None
+    for name, value in (("trials", trials), ("n", n)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    margins = []
     for t in range(trials):
         rng = rng_for(seed, "rankfuzz", check, str(field), n, t)
 
@@ -503,21 +506,16 @@ def fuzz_bound_checks(
             return _random_with_rank(field, n, rng.randint(0, n), rng)
 
         if check == "claim":
-            res = claim_bound_check(draw(), draw(), draw(), draw())
-            margin = res.margin
+            margin = claim_bound_check(draw(), draw(), draw(), draw()).margin
         elif check == "master":
-            res = master_bound_check(draw(), draw(), draw(), draw(), draw())
-            margin = res.margin
+            margin = master_bound_check(draw(), draw(), draw(), draw(), draw()).margin
         else:
             X = draw()
             B = _random_dense(field, n, n, rng)
             S = draw()
             Z = X @ B + S
             margin = image_intersection_dim(X, Z) - (Z.rank() - S.rank())
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-        if margin < 0:
-            violations += 1
-            if first_violation is None:
-                first_violation = t
-    return RankFuzzReport(check, field, n, trials, violations, min_margin, first_violation)
+        margins.append(margin)
+    violated = [t for t, margin in enumerate(margins) if margin < 0]
+    first = violated[0] if violated else None
+    return RankFuzzReport(check, field, n, trials, len(violated), min(margins), first)

@@ -52,16 +52,22 @@ class QuotientCollapseError(ValueError):
 
 @dataclass(frozen=True)
 class RewriteRule:
-    """One oriented rule lhs -> rhs.  The lhs is a nonempty word; every word
-    of the rhs is deglex-smaller than the lhs.  ``_int_rhs`` is the rhs
-    cleared once, as (word, int) terms and their divisor: the numerators
-    over the lcm of the denominators over Q, the residues over 1 over F_p;
-    every system holding the rule splices with it."""
+    """One oriented rule lhs -> rhs, checked when it is made: the lhs is a
+    nonempty word of the rhs's algebra, every rhs word deglex-smaller.
+    ``_int_rhs`` is the rhs cleared once, as (word, int) terms and their
+    divisor: the numerators over the lcm of the denominators over Q, the
+    residues over 1 over F_p; every system holding the rule splices with it."""
 
     lhs: Word
     rhs: NcPoly
 
     def __post_init__(self) -> None:
+        if not self.lhs:
+            raise ValueError("rule left side must be a nonempty word")
+        self.rhs.alg.check_word(self.lhs)
+        for w, _ in self.rhs.terms:
+            if deglex_compare(w, self.lhs) >= 0:
+                raise ValueError(f"rule {self} is not deglex-decreasing")
         (terms,), e = _int_terms((self.rhs,))
         object.__setattr__(self, "_int_rhs", (terms, e))
 
@@ -71,7 +77,7 @@ class RewriteRule:
 
 @dataclass(frozen=True)
 class RewriteSystem:
-    """An ordered list of rules over one free algebra."""
+    """Ordered rules over one free algebra; checks only rule type, algebra, distinct lhs."""
 
     alg: FreeAlgebra
     rules: tuple[RewriteRule, ...]
@@ -82,9 +88,6 @@ class RewriteSystem:
         for rule in self.rules:
             if not isinstance(rule, RewriteRule):
                 raise TypeError(f"not a rewrite rule: {rule!r}")
-            if not rule.lhs:
-                raise ValueError("rule left-hand sides must be nonempty words")
-            self.alg.check_word(rule.lhs)
             if rule.rhs.alg != self.alg:
                 raise FieldError("rule right-hand side lives in a different algebra")
             if rule.lhs in seen:
@@ -92,11 +95,6 @@ class RewriteSystem:
                     f"two rules share the left-hand side {self.alg.word_str(rule.lhs)}"
                 )
             seen.add(rule.lhs)
-            for w, _ in rule.rhs.terms:
-                if deglex_compare(w, rule.lhs) >= 0:
-                    raise ValueError(
-                        f"rule {self.alg.word_str(rule.lhs)} -> {rule.rhs} is not deglex-decreasing"
-                    )
 
     def with_rule(self, rule: RewriteRule) -> "RewriteSystem":
         return RewriteSystem(self.alg, self.rules + (rule,))

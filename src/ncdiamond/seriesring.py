@@ -381,6 +381,8 @@ class SeriesMatrix:
         self.entries[0][0]._check(other.entries[0][0])
 
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
+        if not isinstance(other, SeriesMatrix):
+            return NotImplemented
         self._check(other)
         return SeriesMatrix(
             tuple(
@@ -390,9 +392,13 @@ class SeriesMatrix:
         )
 
     def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
+        if not isinstance(other, SeriesMatrix):
+            return NotImplemented
         return self + other.scale(-1)
 
     def __matmul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
+        if not isinstance(other, SeriesMatrix):
+            return NotImplemented
         self._check(other)
         alg, cap = self.alg, self.cap
         # Clear denominators once per row of self and once per column of

@@ -483,7 +483,10 @@ def test_console_entry_points():
     # installer's wrapper runs it; works from the source tree, uninstalled.
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:
-        scripts = tomllib.load(fh)["project"]["scripts"]
+        project = tomllib.load(fh)["project"]
+    # every report prints __version__, so it is the version the package declares
+    assert project["version"] == __version__
+    scripts = project["scripts"]
     assert "ncdiamond" in scripts
     ep = EntryPoint(name="ncdiamond", value=scripts["ncdiamond"], group="console_scripts")
     assert callable(ep.load())

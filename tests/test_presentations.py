@@ -158,6 +158,12 @@ def test_duplicate_lhs_rejected_via_system_validation():
         parse_presentation("field Q\ngens x y\nrel x*x\nrule x*x -> 0\n")
 
 
+def test_repeated_lhs_that_is_not_decreasing_reports_the_order():
+    # the rule checks itself before the system sees its repeated left side
+    with pytest.raises(PresentationError, match=r"^bad.pres:4: rule x\*x -> x\*x\*x is not deglex"):
+        parse_presentation("field Q\ngens x y\nrel x*x\nrule x*x -> x*x*x\n", name="bad.pres")
+
+
 def test_parse_presentation_is_reusable_for_other_fields():
     base = "field Fp {p}\ngens x y\nrel x*x\nrel y*x*y - x\n"
     for p in (2, 3, 101):

@@ -546,10 +546,23 @@ def test_fuzz_bound_checks_no_violations(check):
     assert repq.violations == 0 and repq.min_margin >= 0
 
 
+@pytest.mark.parametrize(
+    "n, trials, message",
+    [
+        (3, 0, "trials must be at least 1, got 0"),
+        (0, 5, "n must be at least 1, got 0"),
+    ],
+)
+def test_fuzz_bound_checks_rejects_vacuous_runs(n, trials, message):
+    # no trial, or 0x0 matrices, would pass with nothing checked
+    with pytest.raises(ValueError, match=message):
+        fuzz_bound_checks(F7, n, trials, seed=1)
+
+
 def test_fuzz_bound_checks_edge_cases():
-    rep = fuzz_bound_checks(F7, 3, 0, seed=1)
-    assert rep.trials == 0 and rep.violations == 0
-    assert rep.min_margin is None and rep.first_violation is None
+    rep = fuzz_bound_checks(F7, 1, 1, seed=1)
+    assert rep.trials == 1 and rep.violations == 0
+    assert rep.min_margin == 0 and rep.first_violation is None
     with pytest.raises(ValueError):
         fuzz_bound_checks(F7, 3, 5, seed=1, check="nonsense")
     a = fuzz_bound_checks(F7, 4, 10, seed=9, check="master")

@@ -53,21 +53,23 @@ def xx2y():
 
 
 def test_system_validation(alg_q):
-    with pytest.raises(ValueError):
-        RewriteSystem(alg_q, (RewriteRule("", alg_q.zero()),))
-    r = RewriteRule(alg_q.word_from_names("x"), alg_q.zero())
-    with pytest.raises(ValueError):
-        RewriteSystem(alg_q, (r, r))  # duplicate lhs
-    # degree-increasing rhs rejected in default mode
-    up = RewriteRule(alg_q.word_from_names("x"), alg_q.parse("y*x*y"))
-    with pytest.raises(ValueError):
-        RewriteSystem(alg_q, (up,))
+    # a rule checks itself when it is made ...
+    with pytest.raises(ValueError, match="nonempty word"):
+        RewriteRule("", alg_q.zero())
+    # degree-increasing rhs rejected
+    with pytest.raises(ValueError, match="not deglex-decreasing"):
+        RewriteRule(alg_q.word_from_names("x"), alg_q.parse("y*x*y"))
     # same-degree non-smaller rhs rejected: yx -> yx + x
-    bad = RewriteRule(alg_q.word_from_names("y", "x"), alg_q.parse("y*x + x"))
-    with pytest.raises(ValueError):
-        RewriteSystem(alg_q, (bad,))
+    with pytest.raises(ValueError, match="not deglex-decreasing"):
+        RewriteRule(alg_q.word_from_names("y", "x"), alg_q.parse("y*x + x"))
     # equal-degree smaller rhs fine: yx -> xy
     RewriteSystem(alg_q, (RewriteRule(alg_q.word_from_names("y", "x"), alg_q.parse("x*y")),))
+    # ... and the system checks what spans rules
+    r = RewriteRule(alg_q.word_from_names("x"), alg_q.zero())
+    with pytest.raises(ValueError, match="share the left-hand side x"):
+        RewriteSystem(alg_q, (r, r))
+    with pytest.raises(TypeError):
+        RewriteSystem(alg_q, (("\x00", alg_q.zero()),))
     f7 = FreeAlgebra(Field.prime(7), ("x", "y"))
     with pytest.raises(FieldError):
         RewriteSystem(alg_q, (RewriteRule("\x00\x00", f7.parse("y")),))
@@ -334,6 +336,27 @@ def test_complete_detects_quotient_collapse(alg_q):
     sys_ = make_system(alg_q, "x*y -> 0", "y*x -> 1")
     with pytest.raises(QuotientCollapseError):
         complete(sys_)
+
+
+def test_parse_checks_each_rule_once(monkeypatch):
+    # each rule compares its right-side words with its left side once, when
+    # it is made; building the system re-checks none of them
+    calls = _spy(monkeypatch, rewrite, "deglex_compare", lambda u, v: (u, v))
+    text = "field Fp 7\ngens a b\nrel a*a - 1\nrule b*b*b -> 1\nrel a*b*a*b - b*b - a\nrel b*a*b - a*b*a\n"
+    rules = parse_presentation(text).system.rules
+    assert len(rules) == 4
+    assert calls == [(w, r.lhs) for r in rules for w, _ in r.rhs.terms]
+
+
+@pytest.mark.parametrize("budget", [6, 12])
+def test_complete_checks_each_new_rule_once(budget, monkeypatch):
+    # each added rule compares its right-side words with its left side once;
+    # joining the system re-checks no rule, so the count is linear in rules
+    braid = parse_presentation(BRAID, "braid").system
+    calls = _spy(monkeypatch, rewrite, "deglex_compare", lambda u, v: (u, v))
+    res = complete(braid, max_new_rules=budget)
+    assert len(res.added) == budget
+    assert calls == [(w, r.lhs) for r in res.added for w, _ in r.rhs.terms]
 
 
 # -- the reduction engine against reduce_once ------------------------------------------
