@@ -106,12 +106,24 @@ def _cmd_confluence(args) -> int:
     pres = load_presentation(args.presentation)
     report = check_confluence(pres.system, args.max_steps)
     alg = pres.alg
+    # the traces share snapshot objects, so each is rendered once
+    rendered: dict[int, str] = {}
+
+    def render(trace) -> list[str]:
+        out = []
+        for p in trace:
+            s = rendered.get(id(p))
+            if s is None:
+                s = rendered[id(p)] = str(p)
+            out.append(s)
+        return out
+
     ambiguities = []
     for chk in report.checks:
         amb = chk.ambiguity
         # each trace ends in its normal form, so that is its last string
-        trace_a = [str(p) for p in chk.trace_a]
-        trace_b = [str(p) for p in chk.trace_b]
+        trace_a = render(chk.trace_a)
+        trace_b = render(chk.trace_b)
         ambiguities.append(
             {
                 "kind": amb.kind,

@@ -370,8 +370,11 @@ def _decoded(alg: FreeAlgebra, terms: Iterable[tuple[Word, int]], d: int) -> NcP
 # expr   := term (('+' | '-') term)*
 # term   := factor ('*' factor)*
 # factor := '-' factor | atom
-# atom   := scalar | generator | '(' expr ')'
+# atom   := scalar | word | '(' expr ')'
+# word   := generator ('*' generator)*
 # scalar := INT ('/' INT)?
+#
+# A word is one monomial, not a product per '*'; it is the same polynomial.
 #
 # Multiplication must be explicit; juxtaposition is a syntax error.
 
@@ -478,10 +481,13 @@ class _Parser:
                 return self.alg.scalar(c)
             return self.alg.scalar(self.alg.field.from_int(num))
         if kind == "name":
-            try:
-                return self.alg.gen(value)
-            except ValueError:
-                raise ParseError(f"unknown generator {value!r}", pos) from None
+            # a run of generators g1*g2*...*gk is one word, one monomial
+            letters = [self._letter(value, pos)]
+            while self._peek()[0] == "*" and self.tokens[self.i + 1][0] == "name":
+                _, value, pos = self.tokens[self.i + 1]
+                self.i += 2
+                letters.append(self._letter(value, pos))
+            return self.alg.monomial("".join(letters))
         if kind == "(":
             p = self._expr()
             ckind, _, cpos = self._next()
@@ -489,6 +495,12 @@ class _Parser:
                 raise ParseError("expected ')'", cpos)
             return p
         raise ParseError("expected a scalar, a generator, or '('", pos)
+
+    def _letter(self, name: str, pos: int) -> Word:
+        try:
+            return chr(self.alg._gen_index(name))
+        except ValueError:
+            raise ParseError(f"unknown generator {name!r}", pos) from None
 
 
 def parse_poly(text: str, generators: Iterable[str], field: Field) -> NcPoly:

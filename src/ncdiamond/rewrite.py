@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
+from typing import Callable, Mapping
 
 from .fields import FieldError, Scalar
 from .ncpoly import (
@@ -153,6 +154,7 @@ def _reduce(
     """Normalize p with :func:`_reduce_terms`, after clearing it to int
     terms, and decode the result.  ``snapshots``, when given, starts as [p]
     and ends with the result."""
+    _check_count("max_steps", max_steps)
     _check_alg(p, sys)
     (start,), D = _int_terms((p,))
     terms, D = _reduce_terms(dict(start), D, sys, max_steps, snapshots)
@@ -166,6 +168,7 @@ def _reduce_terms(
     max_steps: int,
     snapshots: list[NcPoly] | None = None,
     rewritten: list[Word] | None = None,
+    stop: Callable[[Mapping[Word, Scalar]], bool] | None = None,
 ) -> tuple[list[tuple[Word, int]], int]:
     """The one reduction loop behind normal_form, reduction_trace and the
     critical pairs.
@@ -190,6 +193,12 @@ def _reduce_terms(
     the words each step touched.  ``snapshots``, when given, ends with the
     polynomial ``terms`` holds.  ``rewritten``, when given, receives each
     word rewritten with a nonzero coefficient, in the order of the steps.
+
+    ``stop``, read only with ``snapshots``, is called after each step with
+    the polynomial the step made, as a mapping from words to decoded
+    coefficients that may hold zeros, before it is snapshotted; when it
+    returns True the loop ends there, without that snapshot, and returns
+    the terms it holds, not a normal form.
     """
     alg = sys.alg
     mod = alg.field.p
@@ -211,10 +220,7 @@ def _reduce_terms(
             continue
         steps += 1
         if steps > max_steps:
-            raise StepBudgetExceeded(
-                f"the step budget ran out after {max_steps} rewrites, before a normal "
-                "form; deglex-decreasing rules terminate, so a larger budget reaches one"
-            )
+            raise _out_of_steps(max_steps)
         if rewritten is not None:
             rewritten.append(w)
         e = rules[idx]._int_rhs[1]
@@ -239,8 +245,23 @@ def _reduce_terms(
             if shown is not terms:
                 shown[u] = Fraction(a, D)
         if snapshots is not None:
+            if stop is not None and stop(shown):
+                break
             snapshots.append(NcPoly._canonical(alg, shown))
     return [(w, c) for w, c in terms.items() if c], D
+
+
+def _out_of_steps(max_steps: int) -> StepBudgetExceeded:
+    return StepBudgetExceeded(
+        f"the step budget ran out after {max_steps} rewrites, before a normal "
+        "form; deglex-decreasing rules terminate, so a larger budget reaches one"
+    )
+
+
+def _check_count(name: str, value) -> None:
+    """Step budgets and degrees are nonnegative ints, and a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def normal_form(p: NcPoly, sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPoly:
@@ -339,7 +360,34 @@ def check_confluence(sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -
     Each check records the full reduction trace of each one-step reduct, so
     a report is also a human-readable resolution certificate.  A budget
     error names the ambiguity word.
+
+    The traces of one call share their snapshots.  The next step depends
+    only on the polynomial reached, so once a trace's start or a later
+    snapshot equals one an earlier trace reached, its loop stops and the
+    trace takes the rest of that earlier trace, the same objects.  A table
+    keyed by each snapshot's words finds such a polynomial before it is
+    built, and its coefficients are compared on a hit.  Each trace still
+    counts all its steps, shared ones included, against max_steps.
     """
+    _check_count("max_steps", max_steps)
+    alg = sys.alg
+    mod = alg.field.p
+    # the nonzero words of each snapshot so far -> (its trace, its index)
+    seen: dict[frozenset[Word], tuple[list[NcPoly], int]] = {}
+
+    def stop(shown: Mapping[Word, Scalar]) -> bool:
+        nonlocal joined
+        key = frozenset([w for w, c in shown.items() if c])
+        hit = seen.get(key)
+        if hit is None:
+            seen[key] = trace, len(trace)
+            return False
+        earlier, j = hit
+        if any(shown[w] != c for w, c in earlier[j].terms):
+            return False
+        joined = hit
+        return True
+
     checks = []
     for amb in find_ambiguities(sys):
         traces = []
@@ -348,12 +396,22 @@ def check_confluence(sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -
             # its loop started from the splice that side decodes
             spliced = _splice(sys, amb.word, pos, idx, 1)
             e = sys.rules[idx]._int_rhs[1]
-            trace = [_decoded(sys.alg, spliced, e)]
+            start = dict(spliced) if mod is not None else {u: Fraction(m, e) for u, m in spliced}
+            trace: list[NcPoly] = []
+            joined = None
             try:
-                _reduce_terms(dict(spliced), e, sys, max_steps, trace)
+                if not stop(start):
+                    trace.append(NcPoly._canonical(alg, start))
+                    _reduce_terms(dict(spliced), e, sys, max_steps, trace, stop=stop)
+                if joined is not None:
+                    earlier, j = joined
+                    trace += earlier[j:]
+                    # one snapshot per step after the first
+                    if len(trace) - 1 > max_steps:
+                        raise _out_of_steps(max_steps)
             except StepBudgetExceeded as exc:
                 raise StepBudgetExceeded(
-                    f"critical pair at {sys.alg.word_str(amb.word)}: {exc}"
+                    f"critical pair at {alg.word_str(amb.word)}: {exc}"
                 ) from None
             traces.append(tuple(trace))
         trace_a, trace_b = traces
@@ -496,8 +554,7 @@ def _normal_words_by_degree(sys: RewriteSystem, max_degree: int) -> list[list[Wo
 
 def enumerate_normal_words(sys: RewriteSystem, degree: int) -> tuple[Word, ...]:
     """All words of the given degree containing no rule's lhs, deglex order."""
-    if not isinstance(degree, int) or degree < 0:
-        raise ValueError(f"degree must be a nonnegative integer, got {degree!r}")
+    _check_count("degree", degree)
     return tuple(_normal_words_by_degree(sys, degree)[degree])
 
 
@@ -507,6 +564,7 @@ def random_poly(sys: RewriteSystem, max_deg: int, rng, max_terms: int = 4) -> Nc
     empty word is always normal), a uniform normal word of that degree, and
     a uniform nonzero coefficient.  Colliding words merge, so the result may
     have fewer terms or even be zero."""
+    _check_count("max_deg", max_deg)
     return _random_poly_over(sys.alg, _normal_words_by_degree(sys, max_deg), rng, max_terms)
 
 
@@ -567,6 +625,7 @@ def triple_commutator_nf(
     """
     if len(substitution) != 6:
         raise ValueError("the substitution names six polynomials X1,Y1,X2,Y2,X3,Y3")
+    _check_count("max_steps", max_steps)
     mod = sys.alg.field.p
     acc, D = [(EMPTY_WORD, 1)], 1
     for i in range(3):
@@ -650,6 +709,7 @@ class WitnessReport:
 def verify_lemma_witness(
     sys: RewriteSystem, w: LemmaWitness, max_steps: int = DEFAULT_STEP_BUDGET
 ) -> WitnessReport:
+    _check_count("max_steps", max_steps)
     # first, so that a budget too small for the gate fails on its critical pair
     confluent = _confluent(sys, max_steps)
     nf = lambda q: normal_form(q, sys, max_steps)

@@ -17,6 +17,7 @@ from ncdiamond import (
     word_indices,
     word_of,
 )
+from ncdiamond import ncpoly
 from ncdiamond.seeding import rng_for
 
 
@@ -117,6 +118,80 @@ def test_parse_error_positions(alg_q):
         alg_q.parse("1/0")
     with pytest.raises(ParseError):
         alg_q.parse("1/")
+
+
+def test_parse_errors_inside_a_word(alg_q):
+    # a run of generators is read name by name, so an unknown one is named
+    # at its own position wherever it falls, and the run ends at the first
+    # factor that is not a generator
+    for text, pos in (("z*x*y", 0), ("x*z*y", 2), ("x*y*z", 4), ("2*x*y*yy - x", 6)):
+        with pytest.raises(ParseError, match="unknown generator") as e:
+            alg_q.parse(text)
+        assert e.value.pos == pos
+    for text, message, pos in (
+        ("x*y*", "expected a scalar", 4),
+        ("x*y y", "unexpected trailing input", 4),
+        ("x*y*)", "expected a scalar", 4),
+    ):
+        with pytest.raises(ParseError, match=message) as e:
+            alg_q.parse(text)
+        assert e.value.pos == pos
+
+
+def test_parse_word_is_one_monomial(alg_q, monkeypatch):
+    calls = []
+    real = ncpoly._product
+    monkeypatch.setattr(ncpoly, "_product", lambda *a: calls.append(a) or real(*a))
+    w = alg_q.word_from_names
+    assert alg_q.parse("x*y*y*x") == alg_q.monomial(w("x", "y", "y", "x"))
+    assert alg_q.parse("y*x*y - x") == alg_q.monomial(w("y", "x", "y")) - alg_q.gen("x")
+    assert calls == []
+    # a scalar or a parenthesis still multiplies the word once
+    assert alg_q.parse("3*x*y") == alg_q.monomial(w("x", "y"), Fraction(3))
+    assert alg_q.parse("(x + y)*y*x") == alg_q.parse("x*y*x + y*y*x")
+    assert len(calls) == 2
+
+
+def _random_expression(alg, rng, depth=2):
+    """(text, polynomial): a random sum of products of generators, scalars,
+    negations and parenthesized sums, the polynomial folded from NcPoly
+    products of its factors left to right."""
+    text, total = [], alg.zero()
+    for k in range(rng.randint(1, 3)):
+        parts, factors = [], []
+        for _ in range(rng.randint(1, 5)):
+            r = rng.random()
+            if r < 0.6:
+                name = rng.choice(alg.gens)
+                parts.append(name)
+                factors.append(alg.gen(name))
+            elif r < 0.75:
+                c = rng.randint(1, 9)
+                parts.append(str(c))
+                factors.append(alg.scalar(alg.field.from_int(c)))
+            elif r < 0.85 or not depth:
+                name = rng.choice(alg.gens)
+                parts.append(f"-{name}")
+                factors.append(-alg.gen(name))
+            else:
+                sub_text, sub = _random_expression(alg, rng, depth - 1)
+                parts.append(f"({sub_text})")
+                factors.append(sub)
+        product = factors[0]
+        for f in factors[1:]:
+            product = product * f
+        sign = rng.choice("+-") if k else ""
+        text.append(f" {sign} " + "*".join(parts) if k else "*".join(parts))
+        total = total - product if sign == "-" else total + product
+    return "".join(text), total
+
+
+@pytest.mark.parametrize("which", ["Q", "F7"])
+def test_parse_matches_a_fold_of_products(which, alg_q, alg_f7):
+    alg = alg_q if which == "Q" else alg_f7
+    for t in range(300):
+        text, want = _random_expression(alg, rng_for(102, "parse-fold", which, t))
+        assert alg.parse(text) == want, text
 
 
 def test_parse_fp_noninvertible_literal(alg_f7):

@@ -553,12 +553,16 @@ TRACE_SAMPLE = ("braid6", "braid9", "s3-f7-rot0-afirst", "d4-f7-rot1-bfirst", "a
 # y*x*x*x splices the first rule's right side (divisor 6 over Q) against
 # the second's (divisor 5); the pair resolves over none of Q, F_7, F_(2^61-1)
 FRACTIONAL_RULES = ("y*x -> 1/3*x*y + 1/2", "x*x*x -> 1/5")
+# x*y*y splices to x*y on one side and to 2*x*y on the other: snapshots with
+# the same words and other coefficients, which a certificate must not join
+SCALED_RULES = ("x*y -> x", "y*y -> 2*y")
 
 
 def test_certificate_traces_are_reduction_traces(irving, cohnsasiada, alg_q, alg_fbig):
     # check_confluence starts each trace's loop from the splice it decodes
     systems = [(tag, s) for tag, s, _ in engine_systems(irving, cohnsasiada, alg_fbig)]
     systems.append(("fractional", make_system(alg_q, *FRACTIONAL_RULES)))
+    systems.append(("scaled", make_system(alg_q, *SCALED_RULES)))
     corpus = list(corpus_systems(TRACE_SAMPLE))
     assert len(corpus) == 2 * len(TRACE_SAMPLE)
     systems += corpus
@@ -567,6 +571,76 @@ def test_certificate_traces_are_reduction_traces(irving, cohnsasiada, alg_q, alg
             red_a, red_b = ambiguity_reducts(sys_, chk.ambiguity)
             assert chk.trace_a == reduction_trace(red_a, sys_), tag
             assert chk.trace_b == reduction_trace(red_b, sys_), tag
+
+
+def test_certificate_builds_each_distinct_snapshot_once(
+    irving, cohnsasiada, alg_q, alg_fbig, monkeypatch
+):
+    # a trace that reaches a polynomial an earlier trace reached takes the
+    # rest of that trace, so every snapshot value is one object, built once
+    systems = [(tag, s) for tag, s, _ in engine_systems(irving, cohnsasiada, alg_fbig)]
+    systems.append(("fractional", make_system(alg_q, *FRACTIONAL_RULES)))
+    systems.append(("scaled", make_system(alg_q, *SCALED_RULES)))
+    systems += corpus_systems(TRACE_SAMPLE)
+    real = NcPoly._canonical.__func__
+    built = []
+
+    def spied(cls, alg, terms):
+        built.append(None)
+        return real(cls, alg, terms)
+
+    monkeypatch.setattr(NcPoly, "_canonical", classmethod(spied))
+    shared = 0
+    for tag, sys_ in systems:
+        built.clear()
+        rep = check_confluence(sys_)
+        snaps = [p for chk in rep.checks for p in chk.trace_a + chk.trace_b]
+        distinct = set(snaps)
+        assert len(built) == len(distinct) == len({id(p) for p in snaps}), tag
+        shared += len(snaps) - len(distinct)
+    assert shared
+
+
+def _first_shared(traces):
+    """For each trace, the index of its first snapshot object that an
+    earlier trace holds, or None."""
+    seen, out = set(), []
+    for t in traces:
+        out.append(next((k for k, p in enumerate(t) if id(p) in seen), None))
+        seen.update(id(p) for p in t)
+    return out
+
+
+@pytest.mark.parametrize("text, budget", [(S3_F7, 64), (BRAID, 6)], ids=["s3-f7", "braid6"])
+def test_certificate_budget_counts_the_steps_a_trace_shares(text, budget):
+    # the longest trace joins an earlier one; it passes at exactly its step
+    # count, and one step less names the first critical pair whose
+    # unshared trace (reduction_trace of its reduct) is longer
+    sys_ = complete(parse_presentation(text, "pres").system, budget).system
+    assert len(sys_.rules) == 7
+    rep = check_confluence(sys_)
+    traces = [t for chk in rep.checks for t in (chk.trace_a, chk.trace_b)]
+    longest = max(len(t) - 1 for t in traces)
+    assert check_confluence(sys_, longest) == rep
+    tight = longest - 1
+    first = next(i for i, t in enumerate(traces) if len(t) - 1 > tight)
+    # it joins within the budget, so the shared steps are what exceed it
+    k = _first_shared(traces)[first]
+    assert k is not None and k <= tight
+    amb = rep.checks[first // 2].ambiguity
+    want = next(
+        a for a in find_ambiguities(sys_)
+        if any(len(reduction_trace(r, sys_)) - 1 > tight for r in ambiguity_reducts(sys_, a))
+    )
+    assert amb == want
+    message = (
+        f"critical pair at {sys_.alg.word_str(amb.word)}: the step budget ran out after "
+        f"{tight} rewrites, before a normal form; deglex-decreasing rules terminate, so a "
+        "larger budget reaches one"
+    )
+    with pytest.raises(StepBudgetExceeded) as exc:
+        check_confluence(sys_, tight)
+    assert str(exc.value) == message
 
 
 def test_critical_pair_difference_is_the_normal_form_of_the_reducts(
@@ -636,8 +710,35 @@ def test_normal_words_completed_system(xx2y):
 
 
 def test_enumerate_normal_words_validation(irving):
-    with pytest.raises(ValueError):
-        enumerate_normal_words(irving.system, -1)
+    # True used to be read as degree 1
+    for degree in (-1, True, False, 1.0):
+        with pytest.raises(ValueError, match=f"degree must be a nonnegative integer, got {degree!r}"):
+            enumerate_normal_words(irving.system, degree)
+
+
+@pytest.mark.parametrize("max_deg", [-1, True, False])
+def test_random_poly_rejects_a_degree_that_is_not_a_count(irving, max_deg):
+    # -1 used to draw from the degree-0 words alone and return a scalar
+    with pytest.raises(ValueError, match=f"max_deg must be a nonnegative integer, got {max_deg!r}"):
+        random_poly(irving.system, max_deg, rng_for(15, "randpoly"))
+
+
+@pytest.mark.parametrize("max_steps", [-1, True, False, 2.0])
+def test_step_budgets_are_nonnegative_ints(irving, alg_q, max_steps):
+    # a negative budget used to read "ran out after -1 rewrites", or pass
+    # silently where no step was needed
+    sys_, x = irving.system, irving.alg.gen("x")
+    calls = [
+        lambda: normal_form(x, sys_, max_steps),
+        lambda: reduction_trace(x, sys_, max_steps),
+        lambda: check_confluence(sys_, max_steps),
+        lambda: check_confluence(RewriteSystem(alg_q, ()), max_steps),
+        lambda: triple_commutator_nf(sys_, (x,) * 6, max_steps),
+        lambda: verify_lemma_witness(sys_, irving.witness, max_steps),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"max_steps must be a nonnegative integer, got {max_steps!r}"):
+            call()
 
 
 def test_random_poly_draws_normal_words(irving):
