@@ -12,12 +12,21 @@ for square matrices X, Y, Z, A, B with T := X - Y@X@A and S := Z - X@B:
   claim  bound:  rank(YX) <= rank(YZ) + rank(X) - rank(Z) + rank(S)
   master bound:  rank(Z)  <= rank(YZ) + rank(S) + rank(T)
 
+The checks run the same product and elimination kernels on rows, not on
+matrices: each input is packed (F_p) or cleared to integer rows over one
+divisor (Q) once, and the products, T, S and their ranks come from those
+rows, with no intermediate ``ExactMatrix`` or ``Fraction``.  Over F_p the
+rows of a check share one field width, wide enough for the fields of
+Y@(X@A), below n^2 (p-1)^3; the ranks of the inputs Z and X go through
+``ExactMatrix.rank`` and its cache.
+
 and quantifies, per matrix assignment of a factorization witness, how far
 the three defect ranks are from the smallness regime those bounds forbid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import add, lshift, mul, sub
@@ -25,7 +34,7 @@ from typing import Mapping, Sequence
 
 from .fields import Field, FieldError, Scalar, _cleared
 from .ncpoly import NcPoly
-from .rewrite import LemmaWitness, RewriteSystem, verify_lemma_witness
+from .rewrite import LemmaWitness, RewriteSystem, _check_count, verify_lemma_witness
 from .seeding import rng_for
 
 
@@ -145,23 +154,21 @@ class ExactMatrix:
             # other; each entry is then one integer dot product and one Fraction.
             left = [_cleared(row) for row in self.entries]
             right = [_cleared(col) for col in zip(*other.entries)]
+            dots = _int_product([row for row, _ in left], [col for col, _ in right])
             out = tuple(
-                tuple(Fraction(sum(map(mul, row, col)), d * e) for col, e in right)
-                for row, d in left
+                tuple(Fraction(v, d * e) for v, (_, e) in zip(row, right))
+                for row, (_, d) in zip(dots, left)
             )
             return ExactMatrix._raw(self.field, out)
-        # Kronecker substitution: row j of other becomes one int with a field
-        # of `width` bits per column.  A field of a product row sums at most
-        # `cols` products below p^2, so no field carries into the next.
+        # A field of a product row sums at most `cols` products below p^2.
         width = (self.cols * (p - 1) ** 2).bit_length() + 1
         shifts = range(0, other.cols * width, width)
-        packed = [sum(map(lshift, row, shifts)) for row in other.entries]
         mask = (1 << width) - 1
-        out = []
-        for row in self.entries:
-            v = sum(map(mul, row, packed))
-            out.append(tuple((v >> s & mask) % p for s in shifts))
-        return ExactMatrix._raw(self.field, tuple(out))
+        out = tuple(
+            tuple((v >> s & mask) % p for s in shifts)
+            for v in _packed_product(self.entries, _pack(other.entries, shifts))
+        )
+        return ExactMatrix._raw(self.field, out)
 
     def rank(self) -> int:
         if self._rank is None:
@@ -169,40 +176,71 @@ class ExactMatrix:
         return self._rank
 
 
-def _rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Gaussian elimination on residues; returns the number of pivots.
+# -- the kernels ----------------------------------------------------------------------
+# Over F_p a matrix is a list of packed rows: entry j of a row sits in the
+# field at bit j * width of one int (Kronecker substitution).  Over Q it is a
+# list of integer rows over one divisor.  Each field has one product kernel
+# and one elimination kernel, which ExactMatrix and the bound checks share.
 
-    Each row is packed into one int with a field of `width` bits per column
-    and eliminated as row += (p - f) * top, where top is the pivot row
-    reduced and scaled to a leading 1.  Fields are reduced mod p only when
-    read: each of at most m eliminations adds less than p^2 to a field, so
-    every field stays in [0, m * p^2) and never carries into the next.
+
+def _pack(rows: Sequence[Sequence[int]], shifts: range) -> list[int]:
+    """Each row as one int, entry j in the field at bit shifts[j]."""
+    return [sum(map(lshift, row, shifts)) for row in rows]
+
+
+def _packed_product(rows: Sequence[Sequence[int]], packed: Sequence[int]) -> list[int]:
+    """The packed rows of rows @ M, for M's packed rows: each is one sum of
+    int products, so a field holds the plain integer dot product as long as
+    that stays below 2^width."""
+    return [sum(map(mul, row, packed)) for row in rows]
+
+
+def _rank_packed(packed: Sequence[int], p: int, width: int, ncols: int) -> int:
+    """Gaussian elimination over F_p on packed rows; returns the number of pivots.
+
+    A field holds any nonnegative integer and is reduced mod p only when
+    read.  Rows are eliminated as row += (p - f) * top, where top is the
+    pivot row reduced and scaled to a leading 1: each of fewer than m
+    eliminations adds less than p^2 to a field.  So no field carries into
+    the next if every starting field plus m * p^2 stays below 2^width.
     """
-    m = len(rows)
-    if m == 0:
-        return 0
-    ncols = len(rows[0])
-    width = (m * p * p).bit_length() + 1
+    packed = list(packed)
+    m = len(packed)
     mask = (1 << width) - 1
-    shifts = range(0, ncols * width, width)
-    packed = [sum(map(lshift, row, shifts)) for row in rows]
+    end = ncols * width
     r = 0
-    for s in shifts:
+    for s in range(0, end, width):
+        if r == m:
+            break
         piv = next((i for i in range(r, m) if (packed[i] >> s & mask) % p), None)
         if piv is None:
             continue
         v = packed[piv]
         packed[piv] = packed[r]
         inv = pow((v >> s & mask) % p, p - 2, p)
-        top = sum((v >> t & mask) % p * inv % p << t for t in range(s, ncols * width, width))
+        top = sum((v >> t & mask) % p * inv % p << t for t in range(s, end, width))
         for i in range(r + 1, m):
             f = (packed[i] >> s & mask) % p
             if f:
                 packed[i] += (p - f) * top
         r += 1
-        if r == m:
-            break
     return r
+
+
+def _rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
+    """The rank of residue rows: pack them with fields of width bits, where
+    residues below p plus m * p^2 fit, and eliminate."""
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    width = (len(rows) * p * p).bit_length() + 1
+    return _rank_packed(_pack(rows, range(0, ncols * width, width)), p, width, ncols)
+
+
+def _int_product(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer rows of rows @ M, for M's integer columns: one dot product
+    per entry."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
 
 
 def _rank_bareiss(rows: list[list[int]]) -> int:
@@ -255,6 +293,66 @@ def _check_square_same(mats: Sequence[ExactMatrix]) -> int:
     return n
 
 
+def _int_rows(M: ExactMatrix) -> tuple[list[list[int]], int]:
+    """The integer rows of M over one divisor d: M == rows / d."""
+    flat, d = _cleared([x for row in M.entries for x in row])
+    n = M.cols
+    return [flat[i * n:(i + 1) * n] for i in range(M.rows)], d
+
+
+def _int_difference(u: list[list[int]], du: int, v: list[list[int]], dv: int) -> list[list[int]]:
+    """The integer rows of u/du - v/dv, scaled by lcm(du, dv)."""
+    d = math.lcm(du, dv)
+    a, b = d // du, d // dv
+    return [[a * x - b * y for x, y in zip(ru, rv)] for ru, rv in zip(u, v)]
+
+
+def _defect_ranks(
+    X: ExactMatrix, Y: ExactMatrix, Z: ExactMatrix, B: ExactMatrix, A: ExactMatrix | None = None
+) -> tuple[int, int, int]:
+    """rank(Y@Z), rank(S) for S = Z - X@B, and rank(T) for T = X - Y@X@A,
+    or rank(Y@X) when A is None, for square inputs of one size n.
+
+    Each input is packed (F_p) or cleared (Q) once, and no intermediate
+    ExactMatrix or Fraction is made.  Over F_p every product runs on packed
+    rows of one width, and a difference u - v is formed as u + K - v, with K
+    a multiple of p at least every field of v, so fields stay nonnegative:
+    K = n^2 p^3 is above the fields of Y@(X@A), below n^2 (p-1)^3, and
+    K = n p^2 above those of one product.  Over Q the products are integer
+    dot products, and the two sides of a difference are scaled to a common
+    divisor, which leaves its rank as it is.
+    """
+    n, p = X.rows, X.field.p
+    if p is None:
+        (x, dx), (y, dy), (z, dz), (b, db) = map(_int_rows, (X, Y, Z, B))
+        cols = lambda rows: list(zip(*rows))
+        s = _int_difference(z, dz, _int_product(x, cols(b)), dx * db)
+        yz = _int_product(y, cols(z))
+        if A is None:
+            third = _int_product(y, cols(x))
+        else:
+            a, da = _int_rows(A)
+            yxa = _int_product(y, cols(_int_product(x, cols(a))))
+            third = _int_difference(x, dx, yxa, dy * dx * da)
+        return _rank_bareiss(yz), _rank_bareiss(s), _rank_bareiss(third)
+    depth = 1 if A is None else 2
+    K = n**depth * p ** (depth + 1)
+    # fields start below K + p, and elimination adds less than n p^2
+    width = (K + n * p * p).bit_length() + 1
+    shifts = range(0, n * width, width)
+    offset = sum(K << t for t in shifts)
+    z = _pack(Z.entries, shifts)
+    s = [u + offset - v for u, v in zip(z, _packed_product(X.entries, _pack(B.entries, shifts)))]
+    yz = _packed_product(Y.entries, z)
+    x = _pack(X.entries, shifts)
+    if A is None:
+        third = _packed_product(Y.entries, x)
+    else:
+        yxa = _packed_product(Y.entries, _packed_product(X.entries, _pack(A.entries, shifts)))
+        third = [u + offset - v for u, v in zip(x, yxa)]
+    return tuple(_rank_packed(rows, p, width, n) for rows in (yz, s, third))
+
+
 @dataclass(frozen=True)
 class BoundCheck:
     """One inequality evaluation: holds iff lhs <= rhs."""
@@ -271,9 +369,8 @@ class BoundCheck:
 def claim_bound_check(X: ExactMatrix, Y: ExactMatrix, Z: ExactMatrix, B: ExactMatrix) -> BoundCheck:
     """rank(YX) <= rank(YZ) + rank(X) - rank(Z) + rank(S) with S = Z - X@B."""
     _check_square_same((X, Y, Z, B))
-    S = Z - X @ B
-    lhs = (Y @ X).rank()
-    rhs = (Y @ Z).rank() + X.rank() - Z.rank() + S.rank()
+    rank_yz, rank_s, lhs = _defect_ranks(X, Y, Z, B)
+    rhs = rank_yz + X.rank() - Z.rank() + rank_s
     return BoundCheck(lhs <= rhs, lhs, rhs)
 
 
@@ -295,12 +392,8 @@ def master_bound_check(
     """Check rank(Z) <= rank(YZ) + rank(S) + rank(T) for T = X - Y@X@A and
     S = Z - X@B; the margin (rhs - lhs) is reported and is never negative."""
     _check_square_same((X, Y, Z, A, B))
-    T = X - Y @ X @ A
-    S = Z - X @ B
+    rank_yz, rank_s, rank_t = _defect_ranks(X, Y, Z, B, A)
     rank_z = Z.rank()
-    rank_yz = (Y @ Z).rank()
-    rank_s = S.rank()
-    rank_t = T.rank()
     margin = rank_yz + rank_s + rank_t - rank_z
     return MasterCheck(margin >= 0, margin, rank_z, rank_yz, rank_s, rank_t)
 
@@ -456,11 +549,13 @@ def random_matrix(
     """A seeded random n x n matrix; with target_rank set, a product of
     random n x r and r x n factors resampled (bounded retries) until the
     rank is exactly r."""
+    _check_count("n", n)
     rng = rng_for(seed, "matrix", str(field), n, target_rank)
     if target_rank is None:
         return _random_dense(field, n, n, rng)
-    if not 0 <= target_rank <= n:
+    if isinstance(target_rank, int) and not 0 <= target_rank <= n:
         raise ValueError(f"target rank {target_rank} out of range for size {n}")
+    _check_count("target_rank", target_rank)
     return _random_with_rank(field, n, target_rank, rng)
 
 
@@ -495,9 +590,8 @@ def fuzz_bound_checks(
     """
     if check not in ("claim", "master", "intersection"):
         raise ValueError(f"unknown check {check!r}")
-    for name, value in (("trials", trials), ("n", n)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    _check_count("trials", trials, 1)
+    _check_count("n", n, 1)
     margins = []
     for t in range(trials):
         rng = rng_for(seed, "rankfuzz", check, str(field), n, t)

@@ -258,10 +258,12 @@ def _out_of_steps(max_steps: int) -> StepBudgetExceeded:
     )
 
 
-def _check_count(name: str, value) -> None:
-    """Step budgets and degrees are nonnegative ints, and a bool is not one."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+def _check_count(name: str, value, least: int = 0) -> None:
+    """Step budgets, degrees, sizes and trial counts are ints of at least
+    ``least``, and a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        bound = "a nonnegative integer" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
 def normal_form(p: NcPoly, sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPoly:
@@ -501,6 +503,7 @@ def complete(sys: RewriteSystem, max_new_rules: int = 64) -> CompletionResult:
     and skipped.  So every pass finds the same first unresolved ambiguity as
     normalizing every pair again would.
     """
+    _check_count("max_new_rules", max_new_rules)
     added: list[RewriteRule] = []
     cur = sys
     pairs: list[list[list]] = []  # pairs[a]: the entries of rule a's ambiguities
@@ -652,9 +655,8 @@ def verify_identity_comm3(
     max_deg must be at least 1: a degree-0 substitution is scalars, whose
     commutators vanish in any algebra.
     """
-    for name, value in (("trials", trials), ("max_deg", max_deg)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    _check_count("trials", trials, 1)
+    _check_count("max_deg", max_deg, 1)
     levels = _normal_words_by_degree(sys, max_deg)
     for t in range(trials):
         rng = rng_for(seed, "comm3", t)

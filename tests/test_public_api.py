@@ -1,5 +1,6 @@
-"""``ncdiamond.__all__`` names exactly what the package exports, and the
-exported value types' operators refuse an operand of another type."""
+"""``ncdiamond.__all__`` names exactly what the package exports, the
+exported value types' operators refuse an operand of another type, and the
+public functions refuse a count that is a bool, not an int or out of range."""
 
 import operator
 import os
@@ -10,7 +11,20 @@ from pathlib import Path
 import pytest
 
 import ncdiamond
-from ncdiamond import ExactMatrix, Field, FreeAlgebra, SeriesMatrix, SExtElement, TruncSeries
+from ncdiamond import (
+    ExactMatrix,
+    Field,
+    FreeAlgebra,
+    SeriesMatrix,
+    SExtElement,
+    TruncSeries,
+    complete,
+    fuzz_bound_checks,
+    load_presentation,
+    parse_presentation,
+    random_matrix,
+    verify_identity_comm3,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -59,3 +73,40 @@ def test_an_int_operand_raises_type_error(kind, op):
         getattr(operator, op)(value, 3)
     with pytest.raises(TypeError):
         getattr(operator, op)(3, value)
+
+
+F101 = Field.prime(101)
+BRAID = parse_presentation("field Q\ngens x y\nrel y*x*y - x*y*x\n").system
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify_identity_comm3(load_presentation("irving").system, True, True, 1),
+         "trials must be at least 1, got True"),
+        (lambda: verify_identity_comm3(load_presentation("irving").system, 2, 1.5, 1),
+         "max_deg must be at least 1, got 1.5"),
+        (lambda: complete(BRAID, -1),
+         "max_new_rules must be a nonnegative integer, got -1"),
+        (lambda: complete(BRAID, True),
+         "max_new_rules must be a nonnegative integer, got True"),
+        (lambda: fuzz_bound_checks(F101, True, 2, 1), "n must be at least 1, got True"),
+        (lambda: fuzz_bound_checks(F101, 2.5, 1, 1), "n must be at least 1, got 2.5"),
+        (lambda: fuzz_bound_checks(F101, 2, 0, 1), "trials must be at least 1, got 0"),
+        (lambda: random_matrix(F101, -1), "n must be a nonnegative integer, got -1"),
+        (lambda: random_matrix(F101, 3, True), "target_rank must be a nonnegative integer, got True"),
+        (lambda: random_matrix(F101, 3, -1), "target rank -1 out of range for size 3"),
+        (lambda: random_matrix(F101, 3, 4), "target rank 4 out of range for size 3"),
+    ],
+    ids=[
+        "identity-trials-bool", "identity-max-deg-float", "complete-negative", "complete-bool",
+        "fuzz-n-bool", "fuzz-n-float", "fuzz-trials-zero", "matrix-n-negative",
+        "matrix-rank-bool", "matrix-rank-negative", "matrix-rank-above-n",
+    ],
+)
+def test_public_counts_are_checked(call, message):
+    # one helper, rewrite._check_count, checks them all; the range messages
+    # of earlier releases stay as they were
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -202,6 +202,16 @@ def test_packed_kernels_at_the_width_bound():
     # I - J: every elimination adds to fields already near the bound; rank 16
     N = ExactMatrix(f, [[0 if i == j else P_MAX - 1 for j in range(16)] for i in range(16)])
     assert N.rank() == oracles.rank_fraction_gauss(N) == 16
+    # both checks on inputs of all p - 1: each field of Y@(X@A) reaches
+    # n^2 (p - 1)^3, the most the checks' packed width must hold
+    master = master_bound_check(M, M, M, M, M)
+    assert (master.rank_z, master.rank_yz, master.rank_s, master.rank_t) == (1, 1, 1, 1)
+    claim = claim_bound_check(M, M, M, M)
+    assert (claim.lhs, claim.rhs) == (1, 2)
+    # with X = A = I - J the fields of Y@(X@A) reach 240 (p - 1)^3, and
+    # T = I + 224 J has full rank, so its elimination runs on every column
+    master = master_bound_check(N, M, M, N, M)
+    assert master.rank_t == oracles.rank_fraction_gauss(N - M @ N @ N) == 16
 
 
 def test_traced_kernels_are_class_attributes():
@@ -372,6 +382,11 @@ def test_master_bound_frozen_cases():
     zero = ExactMatrix.zeros(Q, 2, 2)
     res = master_bound_check(zero, zero, zero, zero, zero)
     assert res.holds and res.margin == 0
+    for f in (Q, F7):
+        empty = ExactMatrix(f, [])
+        res = master_bound_check(empty, empty, empty, empty, empty)
+        assert res.holds and (res.margin, res.rank_z, res.rank_yz, res.rank_s, res.rank_t) == (0,) * 5
+        assert claim_bound_check(empty, empty, empty, empty) == claim_bound_check(zero, zero, zero, zero)
 
 
 def test_bound_checks_validate_shapes():
@@ -387,22 +402,61 @@ def test_bound_checks_validate_shapes():
 
 
 def test_bounds_hold_on_random_draws():
-    for which, f, n in (("Q", Q, 4), ("F7", F7, 5)):
-        for t in range(60):
+    # (label, field, n, trials, rows scaled by distinct denominators, all zero)
+    cases = (
+        ("Q", Q, 4, 60, False, False),
+        ("F7", F7, 5, 60, False, False),
+        ("F101", F101, 16, 6, False, False),
+        ("F_2^61-1", Field.prime(2**61 - 1), 8, 8, False, False),
+        ("Q-row-dens", Q, 6, 20, True, False),
+        ("Q-n1", Q, 1, 10, True, False),
+        ("F101-n1", F101, 1, 10, False, False),
+        ("Q-zeros", Q, 3, 1, False, True),
+        ("F_pmax-zeros", Field.prime(P_MAX), 4, 1, False, True),
+    )
+    for which, f, n, trials, row_dens, zeros in cases:
+        for t in range(trials):
             rng = rng_for(46, "bounds", which, t)
 
             def draw():
-                return random_matrix(f, n, rng.randint(0, n), seed=rng.randrange(10**6))
+                if zeros:
+                    return ExactMatrix.zeros(f, n, n)
+                m = random_matrix(f, n, rng.randint(0, n), seed=rng.randrange(10**6))
+                if row_dens:
+                    dens = rng.sample(range(2, 40), n)
+                    m = ExactMatrix(f, [[x / d for x in row] for row, d in zip(m.entries, dens)])
+                return m
 
             x, y, z, a, b = draw(), draw(), draw(), draw(), draw()
             cres = claim_bound_check(x, y, z, b)
-            assert cres.holds and cres.margin >= 0
             mres = master_bound_check(x, y, z, a, b)
-            assert mres.holds and mres.margin >= 0
             t_mat = x - y @ x @ a
             s_mat = z - x @ b
-            assert mres.rank_t == t_mat.rank() and mres.rank_s == s_mat.rank()
+            exprs = {"x": x, "z": z, "yx": y @ x, "yz": y @ z, "s": s_mat, "t": t_mat}
+            ranks = {k: oracles.rank_fraction_gauss(M) for k, M in exprs.items()}
+            assert ranks == {k: M.rank() for k, M in exprs.items()}
+            assert (cres.lhs, cres.rhs) == (ranks["yx"], ranks["yz"] + ranks["x"] - ranks["z"] + ranks["s"])
+            assert cres.holds and cres.margin >= 0
+            assert (mres.rank_z, mres.rank_yz, mres.rank_s, mres.rank_t) == (
+                ranks["z"], ranks["yz"], ranks["s"], ranks["t"]
+            )
             assert mres.margin == mres.rank_yz + mres.rank_s + mres.rank_t - mres.rank_z
+            assert mres.holds and mres.margin >= 0
+
+
+def test_bound_checks_build_no_intermediate_matrix(monkeypatch):
+    # the checks form Y@X@A, X@B, Y@Z, S and T as packed or integer rows,
+    # never as an ExactMatrix
+    for f, n in ((Q, 4), (F101, 5)):
+        mats = [random_matrix(f, n, r, seed=50 + r) for r in range(5)]
+        calls = []
+        matmul, raw = ExactMatrix.__matmul__, ExactMatrix._raw
+        monkeypatch.setattr(ExactMatrix, "__matmul__", lambda a, b: calls.append("@") or matmul(a, b))
+        monkeypatch.setattr(ExactMatrix, "_raw", staticmethod(lambda *a: calls.append("_raw") or raw(*a)))
+        master_bound_check(*mats)
+        claim_bound_check(*mats[:3], mats[4])
+        monkeypatch.undo()
+        assert calls == []
 
 
 # -- polynomial evaluation ------------------------------------------------------------
