@@ -191,3 +191,11 @@ def _cleared(v: Sequence[Fraction]) -> tuple[list[int], int]:
     ratios = [x.as_integer_ratio() for x in v]
     d = math.lcm(*[q for _, q in ratios])
     return [n * (d // q) for n, q in ratios], d
+
+
+def _check_count(name: str, value, least: int = 0) -> None:
+    """Step budgets, degrees, sizes, trial counts and exponents are ints of
+    at least ``least``, and a bool is not one."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        bound = "a nonnegative integer" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")

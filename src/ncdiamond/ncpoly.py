@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .fields import Field, FieldError, Scalar, _cleared
+from .fields import Field, FieldError, Scalar, _check_count, _cleared
 
 Word = str
 
@@ -257,8 +257,7 @@ class NcPoly:
         return NotImplemented
 
     def __pow__(self, k: int) -> "NcPoly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers take a nonnegative integer")
+        _check_count("exponent", k)
         out = self.alg.one()
         for _ in range(k):
             out = out * self

@@ -1,27 +1,28 @@
 """Exact dense linear algebra over Q and F_p, and the rank-defect engine.
 
-Ranks are computed without floating point: fraction-free (Bareiss-style)
-integer elimination over the rationals after clearing denominators row by
-row, and Gaussian elimination on residues over a prime field with each row
-packed into one int.  Products clear denominators the same way over Q and
-pack rows into ints (Kronecker substitution) over F_p, so neither kernel
-loops over scalars entry by entry; ``ExactMatrix.rank`` computes and
-caches a rank.  With it the module checks two universal rank inequalities
-for square matrices X, Y, Z, A, B with T := X - Y@X@A and S := Z - X@B:
+Ranks are computed without floating point.  Each field keeps one row form:
+over Q a matrix is cleared once to integer rows over one divisor, and over
+F_p each row of residues is packed into one int (Kronecker substitution).
+Each field then has one product kernel and one elimination kernel on that
+form: integer dot products and fraction-free (Bareiss-style) elimination
+over Q, packed row products and Gaussian elimination on residues over F_p.
+``ExactMatrix`` products and ``ExactMatrix.rank`` (which caches the rank)
+are built from them, so no kernel loops over scalars entry by entry.  With
+them the module checks two universal rank inequalities for square matrices
+X, Y, Z, A, B with T := X - Y@X@A and S := Z - X@B:
 
   claim  bound:  rank(YX) <= rank(YZ) + rank(X) - rank(Z) + rank(S)
   master bound:  rank(Z)  <= rank(YZ) + rank(S) + rank(T)
 
-The checks run the same product and elimination kernels on rows, not on
-matrices: each input is packed (F_p) or cleared to integer rows over one
-divisor (Q) once, and the products, T, S and their ranks come from those
-rows, with no intermediate ``ExactMatrix`` or ``Fraction``.  Over F_p the
-rows of a check share one field width, wide enough for the fields of
-Y@(X@A), below n^2 (p-1)^3; the ranks of the inputs Z and X go through
-``ExactMatrix.rank`` and its cache.
-
 and quantifies, per matrix assignment of a factorization witness, how far
 the three defect ranks are from the smallness regime those bounds forbid.
+
+The checks run the same kernels on rows, not on matrices: each input is
+put in its row form once, and the products, T, S and their ranks come from
+those rows, with no intermediate ``ExactMatrix`` or ``Fraction``.  Over F_p
+the rows of a check share one field width, wide enough for the fields of
+Y@(X@A), below n^2 (p-1)^3; the ranks of the inputs Z and X go through
+``ExactMatrix.rank`` and its cache.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from fractions import Fraction
 from operator import add, lshift, mul, sub
 from typing import Mapping, Sequence
 
-from .fields import Field, FieldError, Scalar, _cleared
+from .fields import Field, FieldError, Scalar, _check_count, _cleared
 from .ncpoly import NcPoly
-from .rewrite import LemmaWitness, RewriteSystem, _check_count, verify_lemma_witness
+from .rewrite import LemmaWitness, RewriteSystem, verify_lemma_witness
 from .seeding import rng_for
 
 
@@ -150,15 +151,11 @@ class ExactMatrix:
             )
         p = self.field.p
         if p is None:
-            # Clear denominators once per row of self and once per column of
-            # other; each entry is then one integer dot product and one Fraction.
-            left = [_cleared(row) for row in self.entries]
-            right = [_cleared(col) for col in zip(*other.entries)]
-            dots = _int_product([row for row, _ in left], [col for col, _ in right])
-            out = tuple(
-                tuple(Fraction(v, d * e) for v, (_, e) in zip(row, right))
-                for row, (_, d) in zip(dots, left)
-            )
+            # Each factor becomes integer rows over one divisor; each entry is
+            # then one integer dot product and one Fraction.
+            (x, dx), (y, dy) = _int_rows(self), _int_rows(other)
+            d = dx * dy
+            out = tuple(tuple(Fraction(v, d) for v in row) for row in _int_product(x, y))
             return ExactMatrix._raw(self.field, out)
         # A field of a product row sums at most `cols` products below p^2.
         width = (self.cols * (p - 1) ** 2).bit_length() + 1
@@ -172,15 +169,24 @@ class ExactMatrix:
 
     def rank(self) -> int:
         if self._rank is None:
-            object.__setattr__(self, "_rank", _compute_rank(self))
+            p = self.field.p
+            if p is None:
+                r = _rank_bareiss(_int_rows(self)[0])
+            else:
+                # residues below p plus m * p^2 from the elimination fit a field
+                width = (self.rows * p * p).bit_length() + 1
+                shifts = range(0, self.cols * width, width)
+                r = _rank_packed(_pack(self.entries, shifts), p, width, self.cols)
+            object.__setattr__(self, "_rank", r)
         return self._rank
 
 
 # -- the kernels ----------------------------------------------------------------------
 # Over F_p a matrix is a list of packed rows: entry j of a row sits in the
 # field at bit j * width of one int (Kronecker substitution).  Over Q it is a
-# list of integer rows over one divisor.  Each field has one product kernel
-# and one elimination kernel, which ExactMatrix and the bound checks share.
+# list of integer rows over one divisor (_int_rows).  Each field has one
+# product kernel and one elimination kernel, which ExactMatrix and the bound
+# checks share.
 
 
 def _pack(rows: Sequence[Sequence[int]], shifts: range) -> list[int]:
@@ -227,19 +233,10 @@ def _rank_packed(packed: Sequence[int], p: int, width: int, ncols: int) -> int:
     return r
 
 
-def _rank_mod(rows: Sequence[Sequence[int]], p: int) -> int:
-    """The rank of residue rows: pack them with fields of width bits, where
-    residues below p plus m * p^2 fit, and eliminate."""
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    width = (len(rows) * p * p).bit_length() + 1
-    return _rank_packed(_pack(rows, range(0, ncols * width, width)), p, width, ncols)
-
-
-def _int_product(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The integer rows of rows @ M, for M's integer columns: one dot product
+def _int_product(rows: Sequence[Sequence[int]], other: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer rows of rows @ M, for M's integer rows: one dot product
     per entry."""
+    cols = list(zip(*other))
     return [[sum(map(mul, row, col)) for col in cols] for row in rows]
 
 
@@ -268,14 +265,6 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
         if r == m:
             break
     return r
-
-
-def _compute_rank(M: ExactMatrix) -> int:
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    if M.field.p is not None:
-        return _rank_mod(M.entries, M.field.p)
-    return _rank_bareiss([_cleared(row)[0] for row in M.entries])
 
 
 def image_intersection_dim(X: ExactMatrix, Z: ExactMatrix) -> int:
@@ -325,14 +314,13 @@ def _defect_ranks(
     n, p = X.rows, X.field.p
     if p is None:
         (x, dx), (y, dy), (z, dz), (b, db) = map(_int_rows, (X, Y, Z, B))
-        cols = lambda rows: list(zip(*rows))
-        s = _int_difference(z, dz, _int_product(x, cols(b)), dx * db)
-        yz = _int_product(y, cols(z))
+        s = _int_difference(z, dz, _int_product(x, b), dx * db)
+        yz = _int_product(y, z)
         if A is None:
-            third = _int_product(y, cols(x))
+            third = _int_product(y, x)
         else:
             a, da = _int_rows(A)
-            yxa = _int_product(y, cols(_int_product(x, cols(a))))
+            yxa = _int_product(y, _int_product(x, a))
             third = _int_difference(x, dx, yxa, dy * dx * da)
         return _rank_bareiss(yz), _rank_bareiss(s), _rank_bareiss(third)
     depth = 1 if A is None else 2
@@ -562,7 +550,8 @@ def random_matrix(
 def random_assignment(
     names: Sequence[str], field: Field, n: int, rng
 ) -> dict[str, ExactMatrix]:
-    """One dense random square matrix per generator name."""
+    """One dense random n x n matrix per generator name, n >= 1."""
+    _check_count("n", n, 1)
     return {name: _random_dense(field, n, n, rng) for name in names}
 
 

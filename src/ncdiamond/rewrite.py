@@ -25,7 +25,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Callable, Mapping
 
-from .fields import FieldError, Scalar
+from .fields import FieldError, Scalar, _check_count
 from .ncpoly import (
     EMPTY_WORD, FreeAlgebra, NcPoly, Word, _decoded, _int_terms, _nonzero, _product,
     deglex_compare,
@@ -256,14 +256,6 @@ def _out_of_steps(max_steps: int) -> StepBudgetExceeded:
         f"the step budget ran out after {max_steps} rewrites, before a normal "
         "form; deglex-decreasing rules terminate, so a larger budget reaches one"
     )
-
-
-def _check_count(name: str, value, least: int = 0) -> None:
-    """Step budgets, degrees, sizes and trial counts are ints of at least
-    ``least``, and a bool is not one."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        bound = "a nonnegative integer" if least == 0 else f"at least {least}"
-        raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
 def normal_form(p: NcPoly, sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPoly:

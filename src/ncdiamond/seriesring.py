@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .fields import FieldError, Scalar
+from .fields import FieldError, Scalar, _check_count
 from .ncpoly import (
     EMPTY_WORD, FreeAlgebra, NcPoly, Word, _decoded, _int_terms, _nonzero, _product,
 )
@@ -90,8 +90,7 @@ class TruncSeries:
         return TruncSeries(self.body.scale(c), self.cap)
 
     def __pow__(self, k: int) -> "TruncSeries":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("series powers take a nonnegative integer")
+        _check_count("exponent", k)
         out = TruncSeries.one(self.alg, self.cap)
         for _ in range(k):
             out = out * self

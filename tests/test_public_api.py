@@ -22,6 +22,7 @@ from ncdiamond import (
     fuzz_bound_checks,
     load_presentation,
     parse_presentation,
+    random_assignment,
     random_matrix,
     verify_identity_comm3,
 )
@@ -97,15 +98,26 @@ BRAID = parse_presentation("field Q\ngens x y\nrel y*x*y - x*y*x\n").system
         (lambda: random_matrix(F101, 3, True), "target_rank must be a nonnegative integer, got True"),
         (lambda: random_matrix(F101, 3, -1), "target rank -1 out of range for size 3"),
         (lambda: random_matrix(F101, 3, 4), "target rank 4 out of range for size 3"),
+        (lambda: random_assignment(("x",), F101, -1, None), "n must be at least 1, got -1"),
+        (lambda: random_assignment(("x",), F101, 0, None), "n must be at least 1, got 0"),
+        (lambda: random_assignment(("x",), F101, True, None), "n must be at least 1, got True"),
+        (lambda: ALG.parse("x") ** True, "exponent must be a nonnegative integer, got True"),
+        (lambda: ALG.parse("x") ** -1, "exponent must be a nonnegative integer, got -1"),
+        (lambda: TruncSeries(ALG.parse("x"), 3) ** True,
+         "exponent must be a nonnegative integer, got True"),
+        (lambda: TruncSeries(ALG.parse("x"), 3) ** 1.5,
+         "exponent must be a nonnegative integer, got 1.5"),
     ],
     ids=[
         "identity-trials-bool", "identity-max-deg-float", "complete-negative", "complete-bool",
         "fuzz-n-bool", "fuzz-n-float", "fuzz-trials-zero", "matrix-n-negative",
         "matrix-rank-bool", "matrix-rank-negative", "matrix-rank-above-n",
+        "assignment-n-negative", "assignment-n-zero", "assignment-n-bool",
+        "poly-pow-bool", "poly-pow-negative", "series-pow-bool", "series-pow-float",
     ],
 )
 def test_public_counts_are_checked(call, message):
-    # one helper, rewrite._check_count, checks them all; the range messages
+    # one helper, fields._check_count, checks them all; the range messages
     # of earlier releases stay as they were
     with pytest.raises(ValueError) as err:
         call()

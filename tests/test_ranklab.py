@@ -1,6 +1,10 @@
+import importlib
+import json
 import math
+import types
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from ncdiamond import (
     random_assignment,
     random_matrix,
 )
+from ncdiamond import ranklab
 from ncdiamond.seeding import rng_for
 
 Q = Field.rationals()
@@ -142,6 +147,24 @@ def test_matmul_matches_schoolbook(which):
                 assert math.gcd(x.numerator, x.denominator) == 1 and x.denominator > 0
 
 
+def test_q_product_and_rank_clear_each_matrix_once(monkeypatch):
+    # over Q a matrix becomes integer rows over one divisor in one call,
+    # not one call per row or per column
+    rng = rng_for(45, "clear-once")
+    A = ExactMatrix(Q, random_entries(Q, 4, 3, rng))
+    B = ExactMatrix(Q, random_entries(Q, 3, 5, rng))
+    cleared = ranklab._cleared
+    calls = []
+    monkeypatch.setattr(ranklab, "_cleared", lambda v: calls.append(1) or cleared(v))
+    C = A @ B
+    assert len(calls) == 2
+    calls.clear()
+    assert A.rank() == oracles.rank_fraction_gauss(A)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert C == oracles.mat_mul(Q, A, B)
+
+
 def entrywise(f, op, *mats):
     """The matrix whose entries are op of the matrices' entries, one field
     call each."""
@@ -214,10 +237,29 @@ def test_packed_kernels_at_the_width_bound():
     assert master.rank_t == oracles.rank_fraction_gauss(N - M @ N @ N) == 16
 
 
+def load_tracer():
+    """perfbench/tracer.py, run from its source without installing it or
+    writing a bytecode cache next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = types.ModuleType("perfbench_tracer")
+    exec(compile(path.read_text(), str(path), "exec"), vars(tracer))
+    return tracer
+
+
 def test_traced_kernels_are_class_attributes():
-    # the benchmark tracer wraps these two by name in the class __dict__
-    assert "__matmul__" in ExactMatrix.__dict__
-    assert "rank" in ExactMatrix.__dict__
+    # the benchmark tracer wraps functions by name: a module attribute, or a
+    # method in its own class's __dict__; a name that moves breaks only the
+    # traced run, so each one is resolved here the way Tracer.install does
+    tracer = load_tracer()
+    extra = (("ranklab", "ExactMatrix.rank"), ("rewrite", "find_ambiguities"))
+    names = [(module, attr) for _, module, attr in tracer.SPANS + tracer.COUNTED] + list(extra)
+    assert ("fields", "Field.add") in names and ("fields", "Field.mul") in names
+    for module, attr in names:
+        owner = importlib.import_module(f"ncdiamond.{module}")
+        if "." in attr:
+            cls, attr = attr.split(".")
+            owner = getattr(owner, cls)
+        assert callable(vars(owner).get(attr)), (module, attr)
 
 
 # -- exact rank -----------------------------------------------------------------------
@@ -235,6 +277,10 @@ def test_rank_frozen_examples():
     assert ExactMatrix(Q, [[2, 2], [2, 2]]).rank() == 1
     assert ExactMatrix(F2, [[2, 2], [2, 2]]).rank() == 0
     assert E21.rank() == 1
+    # both kernels give 0 on no rows or no columns, and on a zero matrix
+    for f in (Q, F7):
+        for entries in ([], [[], []], [[0, 0]]):
+            assert ExactMatrix(f, entries).rank() == 0
 
 
 def test_rank_exhaustive_f2_3x3_vs_minors():
@@ -611,6 +657,39 @@ def test_fuzz_bound_checks_rejects_vacuous_runs(n, trials, message):
     # no trial, or 0x0 matrices, would pass with nothing checked
     with pytest.raises(ValueError, match=message):
         fuzz_bound_checks(F7, n, trials, seed=1)
+
+
+def oracle_margin(check, f, mats):
+    """The margin of the claim or master bound from schoolbook products and
+    Gauss-Jordan ranks."""
+    rank, mul = oracles.rank_fraction_gauss, lambda a, b: oracles.mat_mul(f, a, b)
+    if check == "claim":
+        X, Y, Z, B = mats
+        return rank(mul(Y, Z)) + rank(X) - rank(Z) + rank(Z - mul(X, B)) - rank(mul(Y, X))
+    X, Y, Z, A, B = mats
+    return rank(mul(Y, Z)) + rank(Z - mul(X, B)) + rank(X - mul(Y, mul(X, A))) - rank(Z)
+
+
+@pytest.mark.parametrize("name", ["c10_fuzz_rank", "fuzz_rank_q_n6_claim", "fuzz_rank_fp101_n16_master"])
+def test_fuzz_rank_goldens_replay_trial_by_trial(name):
+    # a golden pins only the violation count and the minimum margin; replay
+    # its draws and check every matrix and every trial's margin
+    out = json.loads((Path(__file__).parent / "golden" / f"{name}.out").read_text())
+    inputs, seed = out["inputs"], out["seed"]
+    f = Q if inputs["field"] == "Q" else Field.prime(int(inputs["field"].split(":")[1]))
+    check, n = inputs["check"], inputs["n"]
+    bound_check = claim_bound_check if check == "claim" else master_bound_check
+    margins = []
+    for t in range(inputs["trials"]):
+        rng = rng_for(seed, "rankfuzz", check, str(f), n, t)
+        mats = []
+        for _ in range(4 if check == "claim" else 5):
+            r = rng.randint(0, n)
+            mats.append(ranklab._random_with_rank(f, n, r, rng))
+            assert oracles.rank_fraction_gauss(mats[-1]) == r
+        margins.append(oracle_margin(check, f, mats))
+        assert bound_check(*mats).margin == margins[-1]
+    assert min(margins) == out["details"]["min_margin"]
 
 
 def test_fuzz_bound_checks_edge_cases():

@@ -69,7 +69,7 @@ def test_series_arithmetic_frozen(alg):
 
 def test_series_power_takes_a_nonnegative_integer(alg):
     x = ts(alg, "x", 3)
-    for k in (-2, 1.5):
+    for k in (-2, 1.5, True):
         with pytest.raises(ValueError, match="nonnegative integer"):
             x**k
 
