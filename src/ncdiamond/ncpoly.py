@@ -368,7 +368,7 @@ def _decoded(alg: FreeAlgebra, terms: Iterable[tuple[Word, int]], d: int) -> NcP
 #
 # expr   := term (('+' | '-') term)*
 # term   := factor ('*' factor)*
-# factor := '-' factor | atom
+# factor := '-'* atom
 # atom   := scalar | word | '(' expr ')'
 # word   := generator ('*' generator)*
 # scalar := INT ('/' INT)?
@@ -376,6 +376,12 @@ def _decoded(alg: FreeAlgebra, terms: Iterable[tuple[Word, int]], d: int) -> NcP
 # A word is one monomial, not a product per '*'; it is the same polynomial.
 #
 # Multiplication must be explicit; juxtaposition is a syntax error.
+#
+# Each '(' costs a few stack frames, so parentheses nest at most
+# _MAX_PAREN_DEPTH deep, well inside the interpreter's recursion limit;
+# unary minus is a loop and costs none.
+
+_MAX_PAREN_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -422,6 +428,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.alg = alg
         self.i = 0
+        self.depth = 0
 
     def _peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -459,22 +466,24 @@ class _Parser:
         return p
 
     def _factor(self) -> NcPoly:
-        if self._peek()[0] == "-":
+        negate = False
+        while self._peek()[0] == "-":
             self._next()
-            return -self._factor()
-        return self._atom()
+            negate = not negate
+        p = self._atom()
+        return -p if negate else p
 
     def _atom(self) -> NcPoly:
         kind, value, pos = self._next()
         if kind == "int":
-            num = int(value)
+            num = _int_literal(value, pos)
             if self._peek()[0] == "/":
                 self._next()
                 dkind, dvalue, dpos = self._next()
                 if dkind != "int":
                     raise ParseError("expected an integer denominator", dpos)
                 try:
-                    c = self.alg.field.from_ratio(num, int(dvalue))
+                    c = self.alg.field.from_ratio(num, _int_literal(dvalue, dpos))
                 except FieldError as exc:
                     raise ParseError(str(exc), pos) from None
                 return self.alg.scalar(c)
@@ -488,7 +497,11 @@ class _Parser:
                 letters.append(self._letter(value, pos))
             return self.alg.monomial("".join(letters))
         if kind == "(":
+            if self.depth == _MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {_MAX_PAREN_DEPTH}", pos)
+            self.depth += 1
             p = self._expr()
+            self.depth -= 1
             ckind, _, cpos = self._next()
             if ckind != ")":
                 raise ParseError("expected ')'", cpos)
@@ -500,6 +513,15 @@ class _Parser:
             return chr(self.alg._gen_index(name))
         except ValueError:
             raise ParseError(f"unknown generator {name!r}", pos) from None
+
+
+def _int_literal(digits: str, pos: int) -> int:
+    """The value of a run of decimal digits; Python refuses to read a run
+    longer than its integer string limit (4,300 digits by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
 
 
 def parse_poly(text: str, generators: Iterable[str], field: Field) -> NcPoly:

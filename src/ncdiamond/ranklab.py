@@ -1,6 +1,7 @@
 """Exact dense linear algebra over Q and F_p, and the rank-defect engine.
 
-Ranks are computed without floating point.  Each field keeps one row form:
+Ranks are computed without floating point.  A matrix stores its shape, so
+one with no rows keeps its column count.  Each field keeps one row form:
 over Q a matrix is cleared once to integer rows over one divisor, and over
 F_p each row of residues is packed into one int (Kronecker substitution).
 Each field then has one product kernel and one elimination kernel on that
@@ -28,7 +29,7 @@ Y@(X@A), below n^2 (p-1)^3; the ranks of the inputs Z and X go through
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field as attribute, fields
 from fractions import Fraction
 from operator import add, lshift, mul, sub
 from typing import Mapping, Sequence
@@ -39,44 +40,46 @@ from .rewrite import LemmaWitness, RewriteSystem, verify_lemma_witness
 from .seeding import rng_for
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class ExactMatrix:
-    """An immutable dense matrix with exact entries over a fixed field."""
+    """An immutable dense rows x cols matrix with exact entries over a fixed field."""
 
-    __slots__ = ("field", "rows", "cols", "entries", "_rank")
+    field: Field
+    rows: int
+    cols: int
+    entries: tuple[tuple[Scalar, ...], ...]
+    _rank: int | None = attribute(compare=False)
 
     def __init__(self, field: Field, entries: Sequence[Sequence[Scalar]]):
         rows = tuple(tuple(field.normalize(x) for x in row) for row in entries)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        self._fill(field, rows)
+        self._fill(field, rows, len(rows[0]) if rows else 0)
 
-    def _fill(self, field: Field, rows: tuple[tuple[Scalar, ...], ...]) -> None:
+    def _fill(self, field: Field, rows: tuple[tuple[Scalar, ...], ...], cols: int) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]) if rows else 0)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "_rank", None)
 
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("ExactMatrix is immutable")
-
     @classmethod
-    def _raw(cls, field: Field, rows: tuple[tuple[Scalar, ...], ...]) -> "ExactMatrix":
-        """Internal fast path: entries already normalized."""
+    def _raw(cls, field: Field, rows: tuple[tuple[Scalar, ...], ...], cols: int) -> "ExactMatrix":
+        """Internal fast path: entries already normalized, cols per row."""
         m = cls.__new__(cls)
-        m._fill(field, rows)
+        m._fill(field, rows, cols)
         return m
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "ExactMatrix":
         z = field.zero()
-        return ExactMatrix._raw(field, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        return ExactMatrix._raw(field, ((z,) * cols,) * rows, cols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "ExactMatrix":
         z, o = field.zero(), field.one()
         return ExactMatrix._raw(
-            field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+            field, tuple(tuple(o if i == j else z for j in range(n)) for i in range(n)), n
         )
 
     # -- structure ---------------------------------------------------------
@@ -85,19 +88,12 @@ class ExactMatrix:
         if self.field != other.field:
             raise FieldError("matrices live over different fields")
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.field == other.field and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.entries))
-
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols} over {self.field})"
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._raw(self.field, tuple(zip(*self.entries)) if self.entries else ())
+        entries = tuple(zip(*self.entries)) if self.rows else ((),) * self.cols
+        return ExactMatrix._raw(self.field, entries, self.rows)
 
     def hstack(self, other: "ExactMatrix") -> "ExactMatrix":
         """Columns of self followed by columns of other (same row count)."""
@@ -106,19 +102,18 @@ class ExactMatrix:
         self._check(other)
         if self.rows != other.rows:
             raise ValueError("hstack needs equal row counts")
-        return ExactMatrix._raw(
-            self.field, tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
-        )
+        entries = tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
+        return ExactMatrix._raw(self.field, entries, self.cols + other.cols)
 
     # -- arithmetic -----------------------------------------------------------
 
     def _reduced(self, rows) -> "ExactMatrix":
-        """A matrix over self's field from rows of entrywise results: kept as
-        they are over Q, reduced mod p over F_p."""
+        """A matrix of self's shape and field from rows of entrywise results:
+        kept as they are over Q, reduced mod p over F_p."""
         p = self.field.p
-        if p is None:
-            return ExactMatrix._raw(self.field, tuple(map(tuple, rows)))
-        return ExactMatrix._raw(self.field, tuple(tuple(a % p for a in row) for row in rows))
+        if p is not None:
+            rows = (tuple(a % p for a in row) for row in rows)
+        return ExactMatrix._raw(self.field, tuple(map(tuple, rows)), self.cols)
 
     def _entrywise(self, op, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
@@ -155,27 +150,26 @@ class ExactMatrix:
             # then one integer dot product and one Fraction.
             (x, dx), (y, dy) = _int_rows(self), _int_rows(other)
             d = dx * dy
-            out = tuple(tuple(Fraction(v, d) for v in row) for row in _int_product(x, y))
-            return ExactMatrix._raw(self.field, out)
+            rows = _int_product(x, y, other.cols)
+            out = tuple(tuple(Fraction(v, d) for v in row) for row in rows)
+            return ExactMatrix._raw(self.field, out, other.cols)
         # A field of a product row sums at most `cols` products below p^2.
-        width = (self.cols * (p - 1) ** 2).bit_length() + 1
-        shifts = range(0, other.cols * width, width)
+        width, shifts = _layout(self.cols * (p - 1) ** 2, other.cols)
         mask = (1 << width) - 1
         out = tuple(
             tuple((v >> s & mask) % p for s in shifts)
             for v in _packed_product(self.entries, _pack(other.entries, shifts))
         )
-        return ExactMatrix._raw(self.field, out)
+        return ExactMatrix._raw(self.field, out, other.cols)
 
     def rank(self) -> int:
         if self._rank is None:
             p = self.field.p
             if p is None:
-                r = _rank_bareiss(_int_rows(self)[0])
+                r = _rank_bareiss(_int_rows(self)[0], self.cols)
             else:
                 # residues below p plus m * p^2 from the elimination fit a field
-                width = (self.rows * p * p).bit_length() + 1
-                shifts = range(0, self.cols * width, width)
+                width, shifts = _layout(self.rows * p * p, self.cols)
                 r = _rank_packed(_pack(self.entries, shifts), p, width, self.cols)
             object.__setattr__(self, "_rank", r)
         return self._rank
@@ -187,6 +181,13 @@ class ExactMatrix:
 # list of integer rows over one divisor (_int_rows).  Each field has one
 # product kernel and one elimination kernel, which ExactMatrix and the bound
 # checks share.
+
+
+def _layout(bound: int, ncols: int) -> tuple[int, range]:
+    """The field width and the shifts of ncols fields that each hold any
+    value up to bound: a field is one bit wider than bound."""
+    width = bound.bit_length() + 1
+    return width, range(0, ncols * width, width)
 
 
 def _pack(rows: Sequence[Sequence[int]], shifts: range) -> list[int]:
@@ -233,23 +234,24 @@ def _rank_packed(packed: Sequence[int], p: int, width: int, ncols: int) -> int:
     return r
 
 
-def _int_product(rows: Sequence[Sequence[int]], other: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The integer rows of rows @ M, for M's integer rows: one dot product
-    per entry."""
-    cols = list(zip(*other))
+def _int_product(
+    rows: Sequence[Sequence[int]], other: Sequence[Sequence[int]], ncols: int
+) -> list[list[int]]:
+    """The integer rows of rows @ M, for the integer rows of M with ncols
+    columns: one dot product per entry, 0 when M has no rows."""
+    cols = list(zip(*other)) or [()] * ncols
     return [[sum(map(mul, row, col)) for col in cols] for row in rows]
 
 
-def _rank_bareiss(rows: list[list[int]]) -> int:
+def _rank_bareiss(rows: list[list[int]], ncols: int) -> int:
     """Fraction-free integer elimination; all divisions are exact because
     every intermediate entry is a minor of the input."""
     m = len(rows)
-    if m == 0:
-        return 0
-    ncols = len(rows[0])
     r = 0
     prev = 1
     for col in range(ncols):
+        if r == m:
+            break
         piv_i = next((i for i in range(r, m) if rows[i][col]), None)
         if piv_i is None:
             continue
@@ -262,8 +264,6 @@ def _rank_bareiss(rows: list[list[int]]) -> int:
             rows[i] = [(piv * a - f * b) // prev for a, b in zip(ri, top)]
         prev = piv
         r += 1
-        if r == m:
-            break
     return r
 
 
@@ -314,20 +314,19 @@ def _defect_ranks(
     n, p = X.rows, X.field.p
     if p is None:
         (x, dx), (y, dy), (z, dz), (b, db) = map(_int_rows, (X, Y, Z, B))
-        s = _int_difference(z, dz, _int_product(x, b), dx * db)
-        yz = _int_product(y, z)
+        s = _int_difference(z, dz, _int_product(x, b, n), dx * db)
+        yz = _int_product(y, z, n)
         if A is None:
-            third = _int_product(y, x)
+            third = _int_product(y, x, n)
         else:
             a, da = _int_rows(A)
-            yxa = _int_product(y, _int_product(x, a))
+            yxa = _int_product(y, _int_product(x, a, n), n)
             third = _int_difference(x, dx, yxa, dy * dx * da)
-        return _rank_bareiss(yz), _rank_bareiss(s), _rank_bareiss(third)
+        return _rank_bareiss(yz, n), _rank_bareiss(s, n), _rank_bareiss(third, n)
     depth = 1 if A is None else 2
     K = n**depth * p ** (depth + 1)
     # fields start below K + p, and elimination adds less than n p^2
-    width = (K + n * p * p).bit_length() + 1
-    shifts = range(0, n * width, width)
+    width, shifts = _layout(K + n * p * p, n)
     offset = sum(K << t for t in shifts)
     z = _pack(Z.entries, shifts)
     s = [u + offset - v for u, v in zip(z, _packed_product(X.entries, _pack(B.entries, shifts)))]
@@ -508,13 +507,17 @@ def _random_dense(field: Field, rows: int, cols: int, rng) -> ExactMatrix:
         tuple(
             tuple(field.random_scalar(rng) for _ in range(cols)) for _ in range(rows)
         ),
+        cols,
     )
 
 
-def _random_with_rank(field: Field, n: int, r: int, rng, retries: int = 200) -> ExactMatrix:
+_RANK_DRAWS = 200  # draws of factors before a target rank is given up
+
+
+def _random_with_rank(field: Field, n: int, r: int, rng) -> ExactMatrix:
     if r == 0:
         return ExactMatrix.zeros(field, n, n)
-    for _ in range(retries):
+    for _ in range(_RANK_DRAWS):
         if field.p is None:
             left = ExactMatrix(
                 field, [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
@@ -528,7 +531,7 @@ def _random_with_rank(field: Field, n: int, r: int, rng, retries: int = 200) -> 
         M = left @ right
         if M.rank() == r:
             return M
-    raise RuntimeError(f"failed to hit target rank {r} at size {n} within {retries} draws")
+    raise RuntimeError(f"failed to hit target rank {r} at size {n} within {_RANK_DRAWS} draws")
 
 
 def random_matrix(

@@ -259,7 +259,7 @@ def rank_by_minors(M: ExactMatrix) -> int:
 
 def mat_mul(field: Field, A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     """Schoolbook product: every entry summed term by term with the field's
-    own add and mul."""
+    own add and mul; A.rows x B.cols, even when A has no rows."""
     out = []
     for i in range(A.rows):
         row = []
@@ -269,7 +269,7 @@ def mat_mul(field: Field, A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
                 total = field.add(total, field.mul(A.entries[i][k], B.entries[k][j]))
             row.append(total)
         out.append(row)
-    return ExactMatrix(field, out)
+    return ExactMatrix(field, out) if out else ExactMatrix.zeros(field, 0, B.cols)
 
 
 def rank_fraction_gauss(M: ExactMatrix) -> int:

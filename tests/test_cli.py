@@ -54,6 +54,18 @@ def test_nf_parse_error_exits_2(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_deep_or_long_expression_exits_2(capsys, tmp_path):
+    # a parse error with a position, not a RecursionError or int()'s message
+    for expr in ("(" * 250 + "x" + ")" * 250, "1" * 5000):
+        code, out, err = run(capsys, "nf", "irving", expr)
+        assert code == 2 and out == "" and err.startswith("error:") and "(at position" in err
+    assert run(capsys, "nf", "irving", "--", "-" * 990 + "x") == (0, "x\n", "")
+    pres = tmp_path / "deep.pres"
+    pres.write_text("field Q\ngens x y\nrel " + "(" * 250 + "y*x" + ")" * 250 + "\n")
+    code, out, err = run(capsys, "confluence", str(pres))
+    assert code == 2 and out == "" and err.startswith(f"error: {pres}:3: bad relation: parentheses")
+
+
 def test_nf_missing_presentation_exits_2(capsys):
     code, _, err = run(capsys, "nf", "does-not-exist", "x")
     assert code == 2 and "error:" in err

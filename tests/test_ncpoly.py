@@ -138,6 +138,24 @@ def test_parse_errors_inside_a_word(alg_q):
         assert e.value.pos == pos
 
 
+def test_parse_depth_and_literal_length_are_parse_errors(alg_q):
+    # unary minus is a loop, so a run of signs parses at any length;
+    # parentheses stop at a fixed depth, at the first '(' past it; an
+    # integer literal past Python's digit limit is named at its position
+    x = alg_q.parse("x")
+    assert alg_q.parse("-" * 990 + "x") == x and alg_q.parse("-" * 991 + "x") == -x
+    cap = ncpoly._MAX_PAREN_DEPTH
+    assert alg_q.parse("(" * cap + "-x" + ")" * cap) == -x
+    for depth in (cap + 1, 250):
+        with pytest.raises(ParseError, match=f"parentheses nested deeper than {cap}") as e:
+            alg_q.parse("(" * depth + "x" + ")" * depth)
+        assert e.value.pos == cap
+    for text, pos in (("1" * 5000, 0), ("x - 1/" + "1" * 5000, 6)):
+        with pytest.raises(ParseError, match="integer literal of 5000 digits is too long") as e:
+            alg_q.parse(text)
+        assert e.value.pos == pos
+
+
 def test_parse_word_is_one_monomial(alg_q, monkeypatch):
     calls = []
     real = ncpoly._product

@@ -153,6 +153,16 @@ def test_parse_errors_carry_line_numbers(text, lineno, fragment):
     assert fragment in str(ei.value)
 
 
+def test_deep_or_long_relation_is_reported_at_its_line():
+    for rel, message in (
+        ("(" * 250 + "y*x" + ")" * 250, "parentheses nested deeper than 100 (at position 100)"),
+        ("y*y - " + "1" * 5000 + "*x", "integer literal of 5000 digits is too long (at position 6)"),
+    ):
+        with pytest.raises(PresentationError) as ei:
+            parse_presentation(f"field Q\ngens x y\nrel x*x\nrel {rel}\n", name="bad.pres")
+        assert str(ei.value) == f"bad.pres:4: bad relation: {message}"
+
+
 def test_duplicate_lhs_rejected_via_system_validation():
     with pytest.raises(PresentationError):
         parse_presentation("field Q\ngens x y\nrel x*x\nrule x*x -> 0\n")

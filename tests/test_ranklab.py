@@ -86,6 +86,42 @@ def test_matrix_shape_errors():
         a @ 3
 
 
+@pytest.mark.parametrize("f", [Q, F7], ids=str)
+def test_empty_shapes_keep_their_column_count(f):
+    # a matrix with no rows or no columns keeps rows x cols through every
+    # constructor, so a kernel basis of a full-rank matrix has its n x 0 shape
+    def zeros(rows, cols):
+        return ExactMatrix.zeros(f, rows, cols)
+
+    def shape(M):
+        return M.rows, M.cols
+
+    assert shape(zeros(0, 3)) == (0, 3) and zeros(0, 3).entries == ()
+    assert shape(zeros(3, 0)) == (3, 0) and zeros(3, 0).entries == ((), (), ())
+    for rows, cols in ((3, 0), (0, 3)):
+        t = zeros(rows, cols).transpose()
+        assert shape(t) == (cols, rows) and t.transpose() == zeros(rows, cols)
+    wide = zeros(0, 2).hstack(zeros(0, 3))
+    assert shape(wide) == (0, 5)
+    assert shape(zeros(2, 0).hstack(ExactMatrix.identity(f, 2))) == (2, 2)
+    # an empty inner dimension gives the zero matrix of the outer shape
+    product = zeros(2, 0) @ zeros(0, 3)
+    assert product == zeros(2, 3) == oracles.mat_mul(f, zeros(2, 0), zeros(0, 3))
+    assert shape(zeros(0, 2) @ zeros(2, 3)) == (0, 3)
+    assert zeros(0, 3) != zeros(0, 0) and hash(zeros(0, 3)) != hash(zeros(0, 0))
+    with pytest.raises(ValueError):
+        zeros(0, 3) + zeros(0, 0)
+    with pytest.raises(ValueError):
+        zeros(0, 3) @ zeros(0, 3)
+    # both elimination kernels take the column count from the shape
+    for M in (zeros(0, 3), zeros(3, 0), wide, product):
+        assert M.rank() == 0
+        rows = [[0] * M.cols for _ in range(M.rows)]
+        assert ranklab._rank_bareiss(rows, M.cols) == 0
+        width, shifts = ranklab._layout(M.rows * 7 * 7, M.cols)
+        assert ranklab._rank_packed(ranklab._pack(rows, shifts), 7, width, M.cols) == 0
+
+
 def test_matrix_transpose_hstack_scale():
     a = ExactMatrix(Q, [[1, 2, 3], [4, 5, 6]])
     assert a.transpose().entries == ((1, 4), (2, 5), (3, 6))
@@ -168,7 +204,8 @@ def test_q_product_and_rank_clear_each_matrix_once(monkeypatch):
 def entrywise(f, op, *mats):
     """The matrix whose entries are op of the matrices' entries, one field
     call each."""
-    return ExactMatrix._raw(f, tuple(tuple(map(op, *rows)) for rows in zip(*(m.entries for m in mats))))
+    entries = tuple(tuple(map(op, *rows)) for rows in zip(*(m.entries for m in mats)))
+    return ExactMatrix._raw(f, entries, mats[0].cols)
 
 
 def canonical_entries(f, M):
