@@ -9,11 +9,11 @@ is exactly the obstruction the bounds enforce."""
 
 import argparse
 import signal
+from importlib import resources
 
 from ncdiamond import (
     Field,
     FieldError,
-    load_presentation,
     obstruction_probe,
     parse_presentation,
     random_assignment,
@@ -21,7 +21,15 @@ from ncdiamond import (
 from ncdiamond.cli import _positive
 from ncdiamond.seeding import rng_for
 
-IRVING_TEMPLATE = "field Fp {p}\ngens x y\nrel x*x\nrel y*x*y - x\nwitness x=x y=y z=x*y*x a=y b=y*x\n"
+
+def over_fp(text: str, p: int) -> str:
+    """Presentation text over Q moved to F_p: its one 'field Q' line becomes
+    'field Fp p' and every other line is kept."""
+    lines = text.split("\n")
+    if "field Q" not in lines:
+        raise ValueError("the presentation has no 'field Q' line to swap for F_p")
+    lines[lines.index("field Q")] = f"field Fp {p}"
+    return "\n".join(lines)
 
 
 def sizes(text: str) -> list[int]:
@@ -45,10 +53,11 @@ def main() -> None:
         field = Field.parse(args.field)
     except FieldError as exc:
         ap.error(f"argument --field: {exc}")
-    if field.p is None:
-        pres = load_presentation("irving")
-    else:
-        pres = parse_presentation(IRVING_TEMPLATE.format(p=field.p), f"irving-f{field.p}")
+    # the bundled preset's own relations and witness, over every field
+    text = (resources.files("ncdiamond") / "presets" / "irving.pres").read_text()
+    if field.p is not None:
+        text = over_fp(text, field.p)
+    pres = parse_presentation(text, "irving.pres")
 
     print(f"== margin sweep over {field}, {args.trials} trials per size, seed {args.seed} ==")
     header = f"{'n':>4} {'margin min':>11} {'margin max':>11} {'mean':>7} {'cap>floor?':>11} {'feasible':>9}"

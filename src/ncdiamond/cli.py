@@ -388,11 +388,25 @@ def _add_series_ring(p: argparse.ArgumentParser) -> None:
     )
 
 
+_DASH_HINT = "put '--' before an expression that starts with '-'"
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse reads an argument that starts with '-' as an option, so an
+    expression such as -x leaves ``expr`` missing; the error says what to do."""
+
+    def error(self, message):
+        prefix = "the following arguments are required: "
+        if message.startswith(prefix) and "expr" in message[len(prefix):].split(", "):
+            message += f" ({_DASH_HINT})"
+        super().error(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: parsing keeps no
     state in it, and building it costs more than most commands."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ncdiamond",
         description=(
             "Rewriting, truncated power series, and exact-rank checks for finitely "
@@ -404,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nf", help="print the normal form of an expression")
     p.add_argument("presentation", help="presentation file path or bundled preset name")
-    p.add_argument("expr", help="expression over the presentation's generators")
+    p.add_argument("expr", help=f"expression over the presentation's generators; {_DASH_HINT}")
     p.add_argument("--max-steps", type=_nonnegative, default=DEFAULT_STEP_BUDGET)
     p.set_defaults(handler=_cmd_nf)
 
@@ -452,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     series_sub = p.add_subparsers(dest="series_command", required=True)
 
     q = series_sub.add_parser("quasi-inverse", help="compute and verify a quasi-inverse")
-    q.add_argument("expr", help="series with zero constant term")
+    q.add_argument("expr", help=f"series with zero constant term; {_DASH_HINT}")
     _add_series_ring(q)
     _add_pretty(q)
     q.set_defaults(handler=_cmd_series_quasi_inverse)

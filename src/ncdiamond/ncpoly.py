@@ -19,6 +19,9 @@ caller that chains products keeps the int sums between them and decodes
 once at the end.  Truncated series, their matrices, the quasi-inverse
 and Neumann sums, and the triple-commutator chain all run the same pair
 loop.
+
+Polynomials, truncated series, extension elements and series matrices
+take a - b, -a and is_zero from one private base, ``_Linear``.
 """
 
 from __future__ import annotations
@@ -133,7 +136,25 @@ class FreeAlgebra:
         return _Parser(text, self).parse()
 
 
-class NcPoly:
+class _Linear:
+    """a - b = a + b.scale(-1), -a = a.scale(-1) and a.is_zero() = not a, for
+    types with +, scale and __bool__; empty slots keep NcPoly dict-free."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def is_zero(self) -> bool:
+        return not self
+
+
+class NcPoly(_Linear):
     """An element of a free algebra: finitely many (word, coefficient) terms.
 
     ``terms`` is a tuple of pairs sorted descending under deglex with no zero
@@ -177,9 +198,6 @@ class NcPoly:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def support(self) -> tuple[Word, ...]:
         return tuple(w for w, _ in self.terms)
@@ -225,15 +243,6 @@ class NcPoly:
         for w, c in other.terms:
             d[w] = f.add(d[w], c) if w in d else c
         return NcPoly._canonical(self.alg, d)
-
-    def __sub__(self, other: "NcPoly") -> "NcPoly":
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "NcPoly":
-        f = self.alg.field
-        return NcPoly._canonical(self.alg, {w: f.neg(c) for w, c in self.terms})
 
     def scale(self, c: Scalar) -> "NcPoly":
         f = self.alg.field

@@ -63,6 +63,8 @@ class RewriteRule:
     rhs: NcPoly
 
     def __post_init__(self) -> None:
+        if not isinstance(self.rhs, NcPoly):
+            raise TypeError(f"rule right side must be an NcPoly, got {type(self.rhs).__name__}")
         if not self.lhs:
             raise ValueError("rule left side must be a nonempty word")
         self.rhs.alg.check_word(self.lhs)

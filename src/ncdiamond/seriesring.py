@@ -7,7 +7,9 @@ provides quasi-inverses (the circle-operation inverse of a constant-free
 series), Neumann inverses for matrices of the form I + N, a finite-scale
 one-sided-inverse probe, and the square-zero extension by a generator z
 with z * (anything scalar-free) = 0, together with a step-by-step replay of
-the collapse argument that the extension exists to support.
+the collapse argument that the extension exists to support.  Series,
+extension elements and series matrices take a - b, -a and is_zero from
+the ``ncpoly`` base ``_Linear``, as polynomials do.
 
 Both inverses are geometric series, and they share one integer loop
 (``_power_sum``): the factor is cleared once, to int terms over one divisor
@@ -31,12 +33,12 @@ from typing import Sequence
 
 from .fields import FieldError, Scalar, _check_count
 from .ncpoly import (
-    EMPTY_WORD, FreeAlgebra, NcPoly, Word, _decoded, _int_terms, _nonzero, _product,
+    EMPTY_WORD, FreeAlgebra, NcPoly, Word, _decoded, _int_terms, _Linear, _nonzero, _product,
 )
 
 
 @dataclass(frozen=True)
-class TruncSeries:
+class TruncSeries(_Linear):
     """A power series known up to degree ``cap``: a polynomial body with all
     higher terms discarded on construction, and never formed by a product."""
 
@@ -44,6 +46,8 @@ class TruncSeries:
     cap: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.body, NcPoly):
+            raise TypeError(f"a series body must be an NcPoly, got {type(self.body).__name__}")
         if not isinstance(self.cap, int) or isinstance(self.cap, bool) or self.cap < 1:
             raise ValueError(f"truncation cap must be a positive integer, got {self.cap!r}")
         object.__setattr__(self, "body", self.body.truncate(self.cap))
@@ -72,14 +76,6 @@ class TruncSeries:
         self._check(other)
         return TruncSeries(self.body + other.body, self.cap)
 
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(-self.body, self.cap)
-
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
             self._check(other)
@@ -98,9 +94,6 @@ class TruncSeries:
 
     def __bool__(self) -> bool:
         return bool(self.body)
-
-    def is_zero(self) -> bool:
-        return self.body.is_zero()
 
     def constant_term(self) -> Scalar:
         return self.body.constant_term()
@@ -137,13 +130,16 @@ def circle(a: TruncSeries, b: TruncSeries) -> TruncSeries:
 
 
 @dataclass(frozen=True)
-class SExtElement:
+class SExtElement(_Linear):
     """s0 + s1*z in the square-zero extension of a truncated series ring."""
 
     s0: TruncSeries
     s1: TruncSeries
 
     def __post_init__(self) -> None:
+        for part in (self.s0, self.s1):
+            if not isinstance(part, TruncSeries):
+                raise TypeError(f"extension parts must be TruncSeries, got {type(part).__name__}")
         self.s0._check(self.s1)
 
     @property
@@ -171,14 +167,6 @@ class SExtElement:
             return NotImplemented
         return SExtElement(self.s0 + other.s0, self.s1 + other.s1)
 
-    def __sub__(self, other: "SExtElement") -> "SExtElement":
-        if not isinstance(other, SExtElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "SExtElement":
-        return SExtElement(-self.s0, -self.s1)
-
     def __mul__(self, other):
         """(s0 + s1 z)(t0 + t1 z) = s0 t0 + (s0 t1 + gamma(t0) s1) z.
 
@@ -199,9 +187,6 @@ class SExtElement:
 
     def __bool__(self) -> bool:
         return bool(self.s0) or bool(self.s1)
-
-    def is_zero(self) -> bool:
-        return not self
 
     def __str__(self) -> str:
         return f"({self.s0}) + ({self.s1})*z"
@@ -339,7 +324,7 @@ def random_s_ext(alg: FreeAlgebra, cap: int, rng, max_terms: int = 3) -> SExtEle
 
 
 @dataclass(frozen=True)
-class SeriesMatrix:
+class SeriesMatrix(_Linear):
     """A dense square matrix with truncated-series entries."""
 
     entries: tuple[tuple[TruncSeries, ...], ...]
@@ -352,6 +337,8 @@ class SeriesMatrix:
         ref = rows[0][0]
         for row in rows:
             for e in row:
+                if not isinstance(e, TruncSeries):
+                    raise TypeError(f"a matrix entry must be a TruncSeries, got {type(e).__name__}")
                 ref._check(e)
 
     @property
@@ -390,11 +377,6 @@ class SeriesMatrix:
             )
         )
 
-    def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        if not isinstance(other, SeriesMatrix):
-            return NotImplemented
-        return self + other.scale(-1)
-
     def __matmul__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         if not isinstance(other, SeriesMatrix):
             return NotImplemented
@@ -415,8 +397,8 @@ class SeriesMatrix:
     def scale(self, c: Scalar) -> "SeriesMatrix":
         return SeriesMatrix(tuple(tuple(e.scale(c) for e in row) for row in self.entries))
 
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+    def __bool__(self) -> bool:
+        return any(e for row in self.entries for e in row)
 
     def is_identity(self) -> bool:
         return self == SeriesMatrix.identity(self.alg, self.n, self.cap)

@@ -66,6 +66,18 @@ def test_deep_or_long_expression_exits_2(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith(f"error: {pres}:3: bad relation: parentheses")
 
 
+def test_expression_starting_with_a_minus_goes_after_double_dash(capsys):
+    # argparse reads -x as an option and reports expr missing; the error
+    # says where such an expression goes
+    hint = "(put '--' before an expression that starts with '-')"
+    for argv in (["nf", "irving", "-x"], ["series", "quasi-inverse", "-x"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"error: the following arguments are required: expr {hint}")
+    assert run(capsys, "nf", "irving", "--", "-x") == (0, "-x\n", "")
+    assert run(capsys, "nf", "irving", "--max-steps", "10", "--", "-2*x") == (0, "-2*x\n", "")
+
+
 def test_nf_missing_presentation_exits_2(capsys):
     code, _, err = run(capsys, "nf", "does-not-exist", "x")
     assert code == 2 and "error:" in err

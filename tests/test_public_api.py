@@ -15,6 +15,7 @@ from ncdiamond import (
     ExactMatrix,
     Field,
     FreeAlgebra,
+    RewriteRule,
     SeriesMatrix,
     SExtElement,
     TruncSeries,
@@ -74,6 +75,24 @@ def test_an_int_operand_raises_type_error(kind, op):
         getattr(operator, op)(value, 3)
     with pytest.raises(TypeError):
         getattr(operator, op)(3, value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: TruncSeries(3, 2), "a series body must be an NcPoly, got int"),
+        (lambda: SExtElement(3, 4), "extension parts must be TruncSeries, got int"),
+        (lambda: SeriesMatrix(((1,),)), "a matrix entry must be a TruncSeries, got int"),
+        (lambda: RewriteRule("\x00", 3), "rule right side must be an NcPoly, got int"),
+    ],
+    ids=["TruncSeries", "SExtElement", "SeriesMatrix", "RewriteRule"],
+)
+def test_a_part_of_the_wrong_type_raises_type_error(call, message):
+    # the constructors check their parts' types before using them, so the
+    # error names the expected type, not a missing attribute of an int
+    with pytest.raises(TypeError) as err:
+        call()
+    assert str(err.value) == message
 
 
 F101 = Field.prime(101)

@@ -14,6 +14,10 @@ from ncdiamond import (
     Field,
     FieldError,
     LemmaWitness,
+    NcPoly,
+    SeriesMatrix,
+    SExtElement,
+    TruncSeries,
     claim_bound_check,
     evaluate_poly,
     fuzz_bound_checks,
@@ -297,6 +301,20 @@ def test_traced_kernels_are_class_attributes():
             cls, attr = attr.split(".")
             owner = getattr(owner, cls)
         assert callable(vars(owner).get(attr)), (module, attr)
+
+
+def test_linear_types_share_one_sub_neg_and_is_zero():
+    # a - b, -a and is_zero are stated once, in the ncpoly base, so no copy
+    # can drift from it; the traced kernels stay in each class's own
+    # __dict__, where the tracer wraps them
+    classes = {cls.__name__: cls for cls in (NcPoly, TruncSeries, SExtElement, SeriesMatrix)}
+    for cls in classes.values():
+        assert not {"__sub__", "__neg__", "is_zero"} & set(vars(cls)), cls.__name__
+    traced = ("NcPoly.__init__", "NcPoly.__add__", "NcPoly.__mul__",
+              "TruncSeries.__mul__", "SeriesMatrix.__matmul__")
+    for name in traced:
+        cls, meth = name.split(".")
+        assert callable(vars(classes[cls]).get(meth)), name
 
 
 # -- exact rank -----------------------------------------------------------------------

@@ -2,11 +2,14 @@
 tests/golden/script_<name>_<args>.out byte for byte."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from ncdiamond import parse_presentation
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
@@ -51,6 +54,21 @@ def test_script_runs(script, args, header):
     assert proc.stdout.splitlines()[0] == header
     name = "_".join([Path(script).stem, *(a.lstrip("-") for a in args)])
     assert proc.stdout == (GOLDEN / f"script_{name}.out").read_text()
+
+
+def test_margin_sweep_runs_the_bundled_irving_preset_over_fp():
+    # the F_p sweep swaps only the preset's 'field Q' line, so an edit to its
+    # relations or witness reaches every field; a text without it is refused
+    sweep = runpy.run_path(str(ROOT / "scripts" / "rank_margin_sweep.py"))
+    text = (ROOT / "src" / "ncdiamond" / "presets" / "irving.pres").read_text()
+    moved = sweep["over_fp"](text, 7)
+    assert moved.splitlines() == [
+        "field Fp 7" if line == "field Q" else line for line in text.splitlines()
+    ]
+    pres = parse_presentation(moved)
+    assert str(pres.alg.field) == "Fp:7" and pres.witness is not None
+    with pytest.raises(ValueError, match="no 'field Q' line"):
+        sweep["over_fp"](moved, 7)
 
 
 def test_script_quiet_when_reader_closes_early():

@@ -439,6 +439,30 @@ def test_series_matrix_basics(alg):
     assert (ident + m) @ (ident - m) == ident
 
 
+def test_a_zero_series_matrix_is_falsy_and_negates(alg):
+    M = SeriesMatrix.identity(alg, 2, 3)
+    assert M and not (M - M)
+    assert -M == M.scale(-1)
+
+
+@pytest.mark.parametrize("f", [Field.rationals(), Field.prime(7)], ids=str)
+def test_sub_neg_and_is_zero_follow_from_add_scale_and_bool(f):
+    # polynomials, series, extension elements and series matrices share one
+    # a - b, -a and is_zero, stated through each type's own +, scale and bool
+    alg, cap = FreeAlgebra(f, ("x", "y")), 4
+    for t in range(8):
+        rng = rng_for(61, "linear", str(f), t)
+        for a, b in (
+            (random_series(alg, cap, rng).body, random_series(alg, cap, rng).body),
+            (random_series(alg, cap, rng), random_series(alg, cap, rng)),
+            (random_s_ext(alg, cap, rng), random_s_ext(alg, cap, rng)),
+            (random_radical_matrix(alg, 2, cap, rng), random_radical_matrix(alg, 2, cap, rng)),
+        ):
+            assert a - b == a + b.scale(-1)
+            assert -(-a) == a
+            assert (a - a).is_zero() and not (a - a)
+
+
 def test_series_matrix_validation(alg, alg7):
     x = ts(alg, "x", 3)
     with pytest.raises(ValueError):
