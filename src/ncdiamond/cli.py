@@ -15,7 +15,7 @@ import argparse
 import functools
 import json
 import os
-import secrets
+import random
 import sys
 from pathlib import Path
 
@@ -72,7 +72,7 @@ def _resolve_seed(args) -> int:
         return args.seed
     if os.environ.get("CI_STRICT") == "1":
         raise ValueError("CI_STRICT=1 requires an explicit --seed on randomized commands")
-    return secrets.randbits(32)
+    return random.SystemRandom().getrandbits(32)
 
 
 def _series_algebra(args) -> FreeAlgebra:

@@ -562,6 +562,7 @@ def random_poly(sys: RewriteSystem, max_deg: int, rng, max_terms: int = 4) -> Nc
     a uniform nonzero coefficient.  Colliding words merge, so the result may
     have fewer terms or even be zero."""
     _check_count("max_deg", max_deg)
+    _check_count("max_terms", max_terms, 1)
     return _random_poly_over(sys.alg, _normal_words_by_degree(sys, max_deg), rng, max_terms)
 
 

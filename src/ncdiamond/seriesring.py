@@ -300,6 +300,11 @@ def random_series(
 ) -> TruncSeries:
     """A random truncated series: 1..max_terms terms with uniform words of
     degree in [min_degree, cap] and uniform nonzero coefficients."""
+    _check_count("cap", cap, 1)
+    _check_count("max_terms", max_terms, 1)
+    _check_count("min_degree", min_degree)
+    if min_degree > cap:
+        raise ValueError(f"min_degree must be at most cap {cap}, got {min_degree}")
     f = alg.field
     acc: dict[Word, Scalar] = {}
     for _ in range(rng.randint(1, max_terms)):
@@ -408,6 +413,7 @@ def random_radical_matrix(
     alg: FreeAlgebra, n: int, cap: int, rng, max_terms: int = 3
 ) -> SeriesMatrix:
     """A random matrix with constant-free series entries (so I + N is a unit)."""
+    _check_count("n", n, 1)
     return SeriesMatrix(
         tuple(
             tuple(random_series(alg, cap, rng, max_terms) for _ in range(n))

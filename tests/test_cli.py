@@ -236,10 +236,24 @@ def test_identity_counterexample_exits_1(capsys, tmp_path):
     assert cex is not None and len(cex["substitution"]) == 6 and cex["value"] != "0"
 
 
-def test_identity_draws_seed_when_missing(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("identity", "irving", "--trials", "3"),
+        ("fuzz-rank", "--n", "3", "--trials", "3"),
+        ("series", "sfprobe", "--n", "2", "--trunc", "3", "--trials", "2"),
+        ("series", "sext-demo", "--random", "--trunc", "3"),
+    ],
+    ids=["identity", "fuzz-rank", "sfprobe", "sext-demo"],
+)
+def test_drawn_seed_is_reported_and_replays(capsys, monkeypatch, argv):
+    # a missing seed is drawn from the system RNG as 32 bits, and rerunning
+    # with that seed prints the same document, byte for byte
     monkeypatch.delenv("CI_STRICT", raising=False)
-    code, doc, _ = run_json(capsys, "identity", "irving", "--trials", "5")
-    assert code == 0 and isinstance(doc["seed"], int)
+    code, out, _ = run(capsys, *argv)
+    seed = json.loads(out)["seed"]
+    assert type(seed) is int and 0 <= seed < 2**32
+    assert run(capsys, *argv, "--seed", str(seed)) == (code, out, "")
 
 
 def test_ci_strict_requires_seed(capsys, monkeypatch):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -25,6 +26,10 @@ from ncdiamond import (
     parse_presentation,
     random_assignment,
     random_matrix,
+    random_poly,
+    random_radical_matrix,
+    random_s_ext,
+    random_series,
     verify_identity_comm3,
 )
 
@@ -126,6 +131,16 @@ BRAID = parse_presentation("field Q\ngens x y\nrel y*x*y - x*y*x\n").system
          "exponent must be a nonnegative integer, got True"),
         (lambda: TruncSeries(ALG.parse("x"), 3) ** 1.5,
          "exponent must be a nonnegative integer, got 1.5"),
+        (lambda: random_poly(BRAID, 2, Random(1), max_terms=0),
+         "max_terms must be at least 1, got 0"),
+        (lambda: random_series(ALG, 3, Random(1), max_terms=0),
+         "max_terms must be at least 1, got 0"),
+        (lambda: random_series(ALG, 3, Random(1), 2, min_degree=5),
+         "min_degree must be at most cap 3, got 5"),
+        (lambda: random_series(ALG, 3, Random(1), min_degree=-1),
+         "min_degree must be a nonnegative integer, got -1"),
+        (lambda: random_s_ext(ALG, 0, Random(1)), "cap must be at least 1, got 0"),
+        (lambda: random_radical_matrix(ALG, True, 3, Random(1)), "n must be at least 1, got True"),
     ],
     ids=[
         "identity-trials-bool", "identity-max-deg-float", "complete-negative", "complete-bool",
@@ -133,6 +148,9 @@ BRAID = parse_presentation("field Q\ngens x y\nrel y*x*y - x*y*x\n").system
         "matrix-rank-bool", "matrix-rank-negative", "matrix-rank-above-n",
         "assignment-n-negative", "assignment-n-zero", "assignment-n-bool",
         "poly-pow-bool", "poly-pow-negative", "series-pow-bool", "series-pow-float",
+        "random-poly-max-terms-zero", "random-series-max-terms-zero",
+        "random-series-min-degree-above-cap", "random-series-min-degree-negative",
+        "random-s-ext-cap-zero", "random-radical-matrix-n-bool",
     ],
 )
 def test_public_counts_are_checked(call, message):

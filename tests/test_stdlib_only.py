@@ -1,7 +1,10 @@
 """The library and the scripts import nothing outside the Python standard
-library, so both run on a bare interpreter (the scripts with PYTHONPATH=src)."""
+library, so both run on a bare interpreter (the scripts with PYTHONPATH=src),
+and importing the CLI loads no cryptography module."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -37,3 +40,20 @@ def test_library_imports_only_the_standard_library():
 
 def test_scripts_import_only_the_standard_library():
     assert_stdlib_only(sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py")))
+
+
+# _hashlib maps OpenSSL, about 3.5 MiB of resident memory for the whole run
+CRYPTO_MODULES = ("secrets", "hmac", "hashlib", "_hashlib", "ssl", "_ssl")
+
+
+def test_cli_import_loads_no_cryptography():
+    env = dict(os.environ)
+    src = str(Path(ncdiamond.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, ncdiamond, ncdiamond.cli; "
+        f"print(sorted(set({CRYPTO_MODULES!r}) & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
