@@ -90,11 +90,7 @@ class Field:
         if text == "Q":
             return Field.rationals()
         if text.startswith("Fp:"):
-            try:
-                p = int(text[3:])
-            except ValueError:
-                raise FieldError(f"bad field spec {text!r}: modulus is not an integer") from None
-            return Field.prime(p)
+            return Field.prime(_modulus(text[3:]))
         raise FieldError(f"bad field spec {text!r} (expected 'Q' or 'Fp:<prime>')")
 
     def __str__(self) -> str:
@@ -141,9 +137,6 @@ class Field:
 
     # -- arithmetic ------------------------------------------------------
 
-    def is_zero(self, a: Scalar) -> bool:
-        return a == 0
-
     def add(self, a: Scalar, b: Scalar) -> Scalar:
         return a + b if self.p is None else (a + b) % self.p
 
@@ -183,6 +176,18 @@ class Field:
         if self.p is None:
             return Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9))
         return rng.randrange(1, self.p)
+
+
+def _modulus(text: str) -> int:
+    """The modulus a field spelling names: nonempty decimal digits, as the
+    polynomial parser reads an integer literal, since int() would also take
+    a sign, spaces and underscores."""
+    if not text.isdecimal():
+        raise FieldError(f"modulus {text!r} is not a decimal integer")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise FieldError(f"modulus of {len(text)} digits is too long") from None
 
 
 def _cleared(v: Sequence[Fraction]) -> tuple[list[int], int]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .fields import Field, FieldError
+from .fields import Field, FieldError, _modulus
 from .ncpoly import FreeAlgebra, NcPoly, ParseError, Word
 from .rewrite import LemmaWitness, RewriteRule, RewriteSystem
 
@@ -56,8 +56,8 @@ def _parse_field(args: list[str], err) -> Field:
         return Field.rationals()
     if len(args) == 2 and args[0] == "Fp":
         try:
-            return Field.prime(int(args[1]))
-        except (ValueError, FieldError) as exc:
+            return Field.prime(_modulus(args[1]))
+        except FieldError as exc:
             raise err(f"bad prime field: {exc}")
     raise err(f"expected 'field Q' or 'field Fp <p>', got 'field {' '.join(args)}'")
 

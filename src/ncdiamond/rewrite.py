@@ -15,6 +15,10 @@ each add over F_p.  The loop hands back int terms, so each output word is
 decoded once.  Critical pairs enter the loop as the int terms their splices
 make, never as decoded reducts, and the triple-commutator chain feeds each
 normal form to the next product as int terms, decoding only its value.
+
+The loop only reduces; it reports each step to one optional hook.  One
+builder, ``_trace``, makes every trace from that hook: reduction_trace's
+and the confluence certificates', which share their snapshots.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Callable, Mapping
+from typing import Callable
 
 from .fields import FieldError, Scalar, _check_count
 from .ncpoly import (
@@ -150,29 +154,14 @@ def reduce_once(p: NcPoly, sys: RewriteSystem) -> tuple[NcPoly, bool]:
     return p, False
 
 
-def _reduce(
-    p: NcPoly, sys: RewriteSystem, max_steps: int, snapshots: list[NcPoly] | None = None
-) -> NcPoly:
-    """Normalize p with :func:`_reduce_terms`, after clearing it to int
-    terms, and decode the result.  ``snapshots``, when given, starts as [p]
-    and ends with the result."""
-    _check_count("max_steps", max_steps)
-    _check_alg(p, sys)
-    (start,), D = _int_terms((p,))
-    terms, D = _reduce_terms(dict(start), D, sys, max_steps, snapshots)
-    return snapshots[-1] if snapshots else _decoded(sys.alg, terms, D)
-
-
 def _reduce_terms(
     terms: dict[Word, int],
     D: int,
     sys: RewriteSystem,
     max_steps: int,
-    snapshots: list[NcPoly] | None = None,
-    rewritten: list[Word] | None = None,
-    stop: Callable[[Mapping[Word, Scalar]], bool] | None = None,
+    on_step: Callable[[Word, list[tuple[Word, int]], int], bool | None] | None = None,
 ) -> tuple[list[tuple[Word, int]], int]:
-    """The one reduction loop behind normal_form, reduction_trace and the
+    """The one reduction loop behind normal_form, the traces and the
     critical pairs.
 
     ``terms`` holds the polynomial being reduced, with equal words merged,
@@ -181,33 +170,26 @@ def _reduce_terms(
     coefficient 0.  A heap holds its reducible words, deglex-greatest
     first.  Each step pops the greatest reducible word with
     its merged coefficient c and rewrites its leftmost match with the
-    lowest-index rule: reduce_once's choice, so the polynomials appended to
-    ``snapshots`` are its iteration.  The rule's right side is (word, m)
-    terms over its divisor e, so the step adds (c / g) * m per spliced word,
-    g = gcd(c, e); when e does not divide c, every term and D are first
-    scaled by e / g.  A word whose coefficient is 0 leaves without a step.
-    Spliced words are deglex-smaller than the popped word, so none comes
-    back.
+    lowest-index rule: reduce_once's choice, so the polynomials ``terms``
+    holds after each step are its iteration.  The rule's right side is
+    (word, m) terms over its divisor e, so the step adds (c / g) * m per
+    spliced word, g = gcd(c, e); when e does not divide c, every term and D
+    are first scaled by e / g.  A word whose coefficient is 0 leaves without
+    a step.  Spliced words are deglex-smaller than the popped word, so none
+    comes back.
 
     Returns the normal form undecoded: its (word, int) terms with the
     zero coefficients dropped, and their divisor, which a caller decodes
-    once or feeds to the next product.  Over Q the snapshots decode only
-    the words each step touched.  ``snapshots``, when given, ends with the
-    polynomial ``terms`` holds.  ``rewritten``, when given, receives each
-    word rewritten with a nonzero coefficient, in the order of the steps.
+    once or feeds to the next product.
 
-    ``stop``, read only with ``snapshots``, is called after each step with
-    the polynomial the step made, as a mapping from words to decoded
-    coefficients that may hold zeros, before it is snapshotted; when it
-    returns True the loop ends there, without that snapshot, and returns
-    the terms it holds, not a normal form.
+    ``on_step``, when given, is called after each step with the word
+    rewritten, the (word, int) terms the step added and the divisor; the
+    step's new values are in ``terms``.  When it returns True the loop ends
+    there and returns the terms it holds, not a normal form.
     """
-    alg = sys.alg
-    mod = alg.field.p
+    mod = sys.alg.field.p
     rules = sys.rules
-    desc = alg.descending_letters
-    # what the snapshots read: the residues over F_p, decoded values over Q
-    shown = dict(snapshots[-1].terms) if snapshots is not None and mod is None else terms
+    desc = sys.alg.descending_letters
     heap = []
     for w in terms:
         hit = _leftmost_match(w, rules)
@@ -223,8 +205,6 @@ def _reduce_terms(
         steps += 1
         if steps > max_steps:
             raise _out_of_steps(max_steps)
-        if rewritten is not None:
-            rewritten.append(w)
         e = rules[idx]._int_rhs[1]
         if e != 1:
             g = gcd(c, e)
@@ -234,9 +214,8 @@ def _reduce_terms(
                 for u in terms:
                     terms[u] *= s
             c //= g
-        if shown is not terms:
-            shown.pop(w)
-        for u, a in _splice(sys, w, pos, idx, c):
+        added = _splice(sys, w, pos, idx, c)
+        for u, a in added:
             if u in terms:
                 a += terms[u]
             else:
@@ -244,12 +223,8 @@ def _reduce_terms(
                 if hit is not None:
                     heappush(heap, (-len(u), u.translate(desc), u, hit))
             terms[u] = a if mod is None else a % mod
-            if shown is not terms:
-                shown[u] = Fraction(a, D)
-        if snapshots is not None:
-            if stop is not None and stop(shown):
-                break
-            snapshots.append(NcPoly._canonical(alg, shown))
+        if on_step is not None and on_step(w, added, D):
+            break
     return [(w, c) for w, c in terms.items() if c], D
 
 
@@ -260,19 +235,70 @@ def _out_of_steps(max_steps: int) -> StepBudgetExceeded:
     )
 
 
+def _trace(
+    terms: dict[Word, int], D: int, sys: RewriteSystem, max_steps: int, seen: dict | None
+) -> tuple[NcPoly, ...]:
+    """The reduce_once iteration from the polynomial ``terms`` holds, as
+    int terms over ``D``, to its normal form: the one trace builder behind
+    reduction_trace and the confluence certificates.
+
+    The snapshots read the residues over F_p and a decoded view over Q,
+    where each step decodes only the words it touched.  ``seen`` is the
+    table :func:`check_confluence` shares between its traces, None for a
+    standalone trace: the nonzero words of each snapshot built so far ->
+    (its trace, its index).  A polynomial is looked up there before its
+    snapshot is built, and a trace that joins an earlier one has its budget
+    checked again.
+    """
+    alg = sys.alg
+    shown = terms if alg.field.p is not None else {u: Fraction(c, D) for u, c in terms.items()}
+    trace: list[NcPoly] = []
+
+    def snapshot() -> bool:
+        """Append the polynomial shown, or take the rest of an earlier trace
+        that reached it and return True."""
+        if seen is not None:
+            key = frozenset([w for w, c in shown.items() if c])
+            # registers this polynomial's words unless an earlier snapshot has them
+            earlier, j = seen.setdefault(key, (trace, len(trace)))
+            if earlier is not trace and all(shown[w] == c for w, c in earlier[j].terms):
+                trace.extend(earlier[j:])
+                return True
+        trace.append(NcPoly._canonical(alg, shown))
+        return False
+
+    def on_step(w: Word, added: list[tuple[Word, int]], D: int) -> bool:
+        if shown is not terms:
+            del shown[w]
+            for u, _ in added:
+                shown[u] = Fraction(terms[u], D)
+        return snapshot()
+
+    if not snapshot():
+        _reduce_terms(terms, D, sys, max_steps, on_step)
+    # one snapshot per step after the first, the steps of a joined tail too
+    if len(trace) - 1 > max_steps:
+        raise _out_of_steps(max_steps)
+    return tuple(trace)
+
+
 def normal_form(p: NcPoly, sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -> NcPoly:
     """Fully reduce p, counting each rewrite of a merged word against
     max_steps; the result is the last entry of :func:`reduction_trace`."""
-    return _reduce(p, sys, max_steps)
+    _check_count("max_steps", max_steps)
+    _check_alg(p, sys)
+    (start,), D = _int_terms((p,))
+    return _decoded(sys.alg, *_reduce_terms(dict(start), D, sys, max_steps))
 
 
 def reduction_trace(
     p: NcPoly, sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET
 ) -> tuple[NcPoly, ...]:
     """The reduce_once iteration [p, p1, ..., normal form]."""
-    trace = [p]
-    _reduce(p, sys, max_steps, trace)
-    return tuple(trace)
+    _check_count("max_steps", max_steps)
+    _check_alg(p, sys)
+    (start,), D = _int_terms((p,))
+    return _trace(dict(start), D, sys, max_steps, None)
 
 
 # -- ambiguities and confluence --------------------------------------------------
@@ -366,50 +392,21 @@ def check_confluence(sys: RewriteSystem, max_steps: int = DEFAULT_STEP_BUDGET) -
     counts all its steps, shared ones included, against max_steps.
     """
     _check_count("max_steps", max_steps)
-    alg = sys.alg
-    mod = alg.field.p
-    # the nonzero words of each snapshot so far -> (its trace, its index)
     seen: dict[frozenset[Word], tuple[list[NcPoly], int]] = {}
-
-    def stop(shown: Mapping[Word, Scalar]) -> bool:
-        nonlocal joined
-        key = frozenset([w for w, c in shown.items() if c])
-        hit = seen.get(key)
-        if hit is None:
-            seen[key] = trace, len(trace)
-            return False
-        earlier, j = hit
-        if any(shown[w] != c for w, c in earlier[j].terms):
-            return False
-        joined = hit
-        return True
-
     checks = []
     for amb in find_ambiguities(sys):
         traces = []
         for pos, idx in ((0, amb.rule_a), (amb.offset, amb.rule_b)):
-            # each trace is reduction_trace of the ambiguity_reducts side,
-            # its loop started from the splice that side decodes
-            spliced = _splice(sys, amb.word, pos, idx, 1)
+            # reduction_trace of the ambiguity_reducts side, its loop
+            # started from the splice that side decodes
+            spliced = dict(_splice(sys, amb.word, pos, idx, 1))
             e = sys.rules[idx]._int_rhs[1]
-            start = dict(spliced) if mod is not None else {u: Fraction(m, e) for u, m in spliced}
-            trace: list[NcPoly] = []
-            joined = None
             try:
-                if not stop(start):
-                    trace.append(NcPoly._canonical(alg, start))
-                    _reduce_terms(dict(spliced), e, sys, max_steps, trace, stop=stop)
-                if joined is not None:
-                    earlier, j = joined
-                    trace += earlier[j:]
-                    # one snapshot per step after the first
-                    if len(trace) - 1 > max_steps:
-                        raise _out_of_steps(max_steps)
+                traces.append(_trace(spliced, e, sys, max_steps, seen))
             except StepBudgetExceeded as exc:
                 raise StepBudgetExceeded(
-                    f"critical pair at {alg.word_str(amb.word)}: {exc}"
+                    f"critical pair at {sys.alg.word_str(amb.word)}: {exc}"
                 ) from None
-            traces.append(tuple(trace))
         trace_a, trace_b = traces
         checks.append(AmbiguityCheck(amb, trace_a[-1] == trace_b[-1], trace_a, trace_b))
     return ConfluenceReport(tuple(checks), all(c.resolvable for c in checks))
@@ -451,7 +448,9 @@ def _first_unresolved(sys: RewriteSystem, pairs: list[list[list]], max_steps: in
                 terms[u] = m if mod is None else m % mod
             rewritten: list[Word] = []
             try:
-                diff, D = _reduce_terms(terms, e_a * e_b, sys, max_steps, rewritten=rewritten)
+                diff, D = _reduce_terms(
+                    terms, e_a * e_b, sys, max_steps, lambda w, added, D: rewritten.append(w)
+                )
             except StepBudgetExceeded as exc:
                 raise StepBudgetExceeded(
                     f"critical pair at {sys.alg.word_str(amb.word)}: {exc}"

@@ -39,10 +39,20 @@ def test_field_construction_and_parse():
     assert Field.parse("Fp:2").p == 2
 
 
-@pytest.mark.parametrize("bad", ["", "q", "R", "Fp", "Fp:", "Fp:abc", "Fp:4", "Fp:1", "Fp:-3"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "q", "R", "Fp", "Fp:", "Fp:abc", "Fp:4", "Fp:1", "Fp:-3",
+     # int() alone would read these as F_7 and F_101
+     "Fp:+7", "Fp: 7", "Fp:7\n", "Fp:1_01", "Fp:+1_01"],
+)
 def test_field_parse_rejects(bad):
     with pytest.raises(FieldError):
         Field.parse(bad)
+
+
+def test_field_parse_rejects_a_modulus_past_the_digit_limit():
+    with pytest.raises(FieldError, match="^modulus of 5000 digits is too long$"):
+        Field.parse("Fp:" + "1" * 5000)
 
 
 def test_field_validation():

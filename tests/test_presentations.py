@@ -110,6 +110,8 @@ def test_witness_parsing_whitespace_tolerant():
         ("field R\ngens x\n", 1, "expected 'field Q' or 'field Fp <p>'"),
         ("field Fp 4\ngens x\n", 1, "bad prime field"),
         ("field Fp x\ngens x\n", 1, "bad prime field"),
+        ("field Fp 1_01\ngens x\n", 1, "bad prime field: modulus '1_01' is not a decimal integer"),
+        ("field Fp +7\ngens x\n", 1, "bad prime field: modulus '+7' is not a decimal integer"),
         ("field Q\nfield Q\n", 2, "duplicate 'field'"),
         ("field Q\ngens x\ngens y\n", 3, "duplicate 'gens'"),
         ("field Q\ngens\n", 2, "at least one generator"),

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import math
 import types
@@ -27,7 +28,7 @@ from ncdiamond import (
     random_assignment,
     random_matrix,
 )
-from ncdiamond import ranklab
+from ncdiamond import ranklab, rewrite
 from ncdiamond.seeding import rng_for
 
 Q = Field.rationals()
@@ -301,6 +302,28 @@ def test_traced_kernels_are_class_attributes():
             cls, attr = attr.split(".")
             owner = getattr(owner, cls)
         assert callable(vars(owner).get(attr)), (module, attr)
+
+
+def test_one_reduction_hook_and_one_trace_builder(irving, monkeypatch):
+    # the reduction loop takes one optional observer, and reduction_trace
+    # and the confluence certificates build every trace in one function
+    params = inspect.signature(rewrite._reduce_terms).parameters.values()
+    assert len([p for p in params if p.default is not p.empty]) == 1
+    calls, real = [], rewrite._trace
+
+    def spied(terms, D, sys_, max_steps, seen):
+        calls.append(seen)
+        return real(terms, D, sys_, max_steps, seen)
+
+    monkeypatch.setattr(rewrite, "_trace", spied)
+    sys_ = irving.system
+    p = irving.alg.parse("y*x*y*y*x*y")
+    assert rewrite.reduction_trace(p, sys_)[-1] == rewrite.normal_form(p, sys_)
+    assert calls == [None]
+    rep = rewrite.check_confluence(sys_)
+    tables = calls[1:]
+    assert len(tables) == 2 * len(rep.checks) > 0
+    assert all(t is tables[0] for t in tables) and isinstance(tables[0], dict)
 
 
 def test_linear_types_share_one_sub_neg_and_is_zero():

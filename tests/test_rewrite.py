@@ -643,6 +643,29 @@ def test_certificate_budget_counts_the_steps_a_trace_shares(text, budget):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("field", ["q", "f7"])
+@pytest.mark.parametrize(
+    "rules, text",
+    [(FRACTIONAL_RULES, "y*y*x*x*x*x - 2/3*y*x*y*x + x*x*x*y"), (("y*x -> x*y + 1",), "y*y*y*x*x*x")],
+    ids=["fractional", "weyl"],
+)
+def test_trace_budget_is_exact(field, rules, text, alg_q, alg_f7):
+    # a trace of k steps fits a budget of exactly k and not of k - 1, the
+    # same threshold as normal_form's
+    alg = alg_q if field == "q" else alg_f7
+    sys_ = make_system(alg, *rules)
+    p = alg.parse(text)
+    trace = reduction_trace(p, sys_)
+    k = len(trace) - 1
+    assert k > 1 and trace[0] == p
+    assert reduction_trace(p, sys_, k) == trace
+    assert normal_form(p, sys_, k) == trace[-1]
+    for fn in (reduction_trace, normal_form):
+        with pytest.raises(StepBudgetExceeded) as exc:
+            fn(p, sys_, k - 1)
+        assert str(exc.value) == str(rewrite._out_of_steps(k - 1))
+
+
 def test_critical_pair_difference_is_the_normal_form_of_the_reducts(
     irving, cohnsasiada, xx2y, alg_q, alg_f7, alg_fbig
 ):
@@ -672,7 +695,8 @@ def test_critical_pair_difference_is_the_normal_form_of_the_reducts(
             else:
                 (terms,), d = _int_terms((red_a - red_b,))
                 rewritten = []
-                _reduce_terms(dict(terms), d, sys_, DEFAULT_STEP_BUDGET, rewritten=rewritten)
+                hook = lambda w, added, D: rewritten.append(w)
+                _reduce_terms(dict(terms), d, sys_, DEFAULT_STEP_BUDGET, hook)
                 assert found is None and entry[2] == sep.join(rewritten)
         assert unresolved
 
