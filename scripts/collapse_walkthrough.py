@@ -17,7 +17,7 @@ from ncdiamond import (
     collapse_demo,
     random_s_ext,
 )
-from ncdiamond.cli import _positive
+from ncdiamond.cli import _integer, _positive
 from ncdiamond.seeding import rng_for
 
 
@@ -27,7 +27,7 @@ def main() -> None:
     ap.add_argument("--trunc", type=_positive, default=6, help="series truncation cap")
     ap.add_argument("--random", action="store_true", help="draw a random instance")
     ap.add_argument("--pairs", type=_positive, default=2, help="pairs to draw with --random")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_integer, default=0)
     args = ap.parse_args()
 
     try:

@@ -14,7 +14,7 @@ from ncdiamond import (
     verify_identity_comm3,
     verify_lemma_witness,
 )
-from ncdiamond.cli import _nonnegative, _positive
+from ncdiamond.cli import _integer, _nonnegative, _positive
 
 
 def main() -> None:
@@ -23,7 +23,7 @@ def main() -> None:
     ap.add_argument("--max-degree", type=_nonnegative, default=8, help="normal-word table depth")
     ap.add_argument("--trials", type=_positive, default=100, help="identity fuzz trials")
     ap.add_argument("--max-deg", type=_positive, default=4, help="degree bound for fuzz substitutions")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_integer, default=0)
     args = ap.parse_args()
 
     try:

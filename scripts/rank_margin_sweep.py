@@ -18,7 +18,7 @@ from ncdiamond import (
     parse_presentation,
     random_assignment,
 )
-from ncdiamond.cli import _positive
+from ncdiamond.cli import _integer, _positive
 from ncdiamond.seeding import rng_for
 
 
@@ -46,7 +46,7 @@ def main() -> None:
     ap.add_argument("--field", default="Fp:101", help="Q or Fp:<prime> (default Fp:101)")
     ap.add_argument("--sizes", type=sizes, default="4,8,12", help="comma-separated matrix sizes")
     ap.add_argument("--trials", type=_positive, default=50, help="assignments per size")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=_integer, default=0)
     args = ap.parse_args()
 
     try:

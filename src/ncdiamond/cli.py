@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .fields import Field, FieldError
+from .fields import Field, FieldError, _digits
 from .ncpoly import FreeAlgebra
 from .presentations import Presentation, PresentationError, load_presentation
 from .ranklab import ExactMatrix, fuzz_bound_checks, obstruction_probe
@@ -352,12 +352,15 @@ def _cmd_series_sext_demo(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than low."""
+def _int_at_least(low: int | None):
+    """An argparse type: ASCII digits 0-9 behind an optional leading '-', an
+    integer no smaller than low when low is given."""
 
     def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
+        value = _digits(text.removeprefix("-"), "integer")
+        if text.startswith("-"):
+            value = -value
+        if low is not None and value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
@@ -365,6 +368,7 @@ def _int_at_least(low: int):
     return parse
 
 
+_integer = _int_at_least(None)
 _positive = _int_at_least(1)
 _nonnegative = _int_at_least(0)
 
@@ -374,7 +378,7 @@ def _add_pretty(p: argparse.ArgumentParser) -> None:
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="base RNG seed (required with CI_STRICT=1)")
+    p.add_argument("--seed", type=_integer, default=None, help="base RNG seed (required with CI_STRICT=1)")
 
 
 def _add_series_ring(p: argparse.ArgumentParser) -> None:

@@ -90,7 +90,7 @@ class Field:
         if text == "Q":
             return Field.rationals()
         if text.startswith("Fp:"):
-            return Field.prime(_modulus(text[3:]))
+            return Field.prime(_digits(text[3:], "modulus"))
         raise FieldError(f"bad field spec {text!r} (expected 'Q' or 'Fp:<prime>')")
 
     def __str__(self) -> str:
@@ -178,16 +178,16 @@ class Field:
         return rng.randrange(1, self.p)
 
 
-def _modulus(text: str) -> int:
-    """The modulus a field spelling names: nonempty decimal digits, as the
-    polynomial parser reads an integer literal, since int() would also take
-    a sign, spaces and underscores."""
-    if not text.isdecimal():
-        raise FieldError(f"modulus {text!r} is not a decimal integer")
+def _digits(text: str, what: str) -> int:
+    """The value of integer text: nonempty ASCII digits 0-9 and nothing else,
+    since int() would also take other scripts' digits, a sign, spaces and
+    underscores.  ``what`` names the text in the FieldError."""
+    if not (text.isascii() and text.isdigit()):
+        raise FieldError(f"{what} {text!r} is not a decimal integer")
     try:
         return int(text)
     except ValueError:  # more digits than int() converts
-        raise FieldError(f"modulus of {len(text)} digits is too long") from None
+        raise FieldError(f"{what} of {len(text)} digits is too long") from None
 
 
 def _cleared(v: Sequence[Fraction]) -> tuple[list[int], int]:

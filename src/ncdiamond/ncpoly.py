@@ -8,7 +8,8 @@ engine leans on heavily.
 
 Polynomials keep their terms sorted descending under the degree-then-lex
 order ("deglex"), so ``terms[0]`` is always the leading term and equal
-polynomials have identical storage.
+polynomials have identical storage.  A polynomial is a frozen dataclass of
+its algebra and its terms: it compares, hashes, copies and pickles by them.
 
 Products do not add Fractions term by term.  Each factor comes in as
 integer coefficients over one divisor (cleared numerators over Q, the
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .fields import Field, FieldError, Scalar, _check_count, _cleared
+from .fields import Field, FieldError, Scalar, _check_count, _cleared, _digits
 
 Word = str
 
@@ -154,6 +155,7 @@ class _Linear:
         return not self
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class NcPoly(_Linear):
     """An element of a free algebra: finitely many (word, coefficient) terms.
 
@@ -162,7 +164,8 @@ class NcPoly(_Linear):
     is semantic equality.  Instances are immutable.
     """
 
-    __slots__ = ("alg", "terms")
+    alg: FreeAlgebra
+    terms: tuple[tuple[Word, Scalar], ...]
 
     def __init__(self, alg: FreeAlgebra, terms: Mapping[Word, Scalar] | None = None):
         f = alg.field
@@ -190,9 +193,6 @@ class NcPoly(_Linear):
             words.sort(key=len, reverse=True)
         object.__setattr__(self, "alg", alg)
         object.__setattr__(self, "terms", tuple([(w, terms[w]) for w in words]))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("NcPoly is immutable")
 
     # -- inspection ---------------------------------------------------------
 
@@ -278,15 +278,7 @@ class NcPoly(_Linear):
             return NcPoly._canonical(self.alg, {w: c for w, c in self.terms if len(w) <= cap})
         return self
 
-    # -- equality and rendering --------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, NcPoly):
-            return NotImplemented
-        return self.alg == other.alg and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.alg, self.terms))
+    # -- rendering ------------------------------------------------------------
 
     def __str__(self) -> str:
         """Canonical expression, terms descending; round-trips through parse.
@@ -380,7 +372,7 @@ def _decoded(alg: FreeAlgebra, terms: Iterable[tuple[Word, int]], d: int) -> NcP
 # factor := '-'* atom
 # atom   := scalar | word | '(' expr ')'
 # word   := generator ('*' generator)*
-# scalar := INT ('/' INT)?
+# scalar := INT ('/' INT)?        INT is one or more of the ASCII digits 0-9
 #
 # A word is one monomial, not a product per '*'; it is the same polynomial.
 #
@@ -401,7 +393,8 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
+    """(kind, value, position) tokens; an integer literal's value is its int."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -409,11 +402,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c.isdecimal():
-            j = i
-            while j < n and text[j].isdecimal():
+        if "0" <= c <= "9":
+            j = i + 1
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
-            tokens.append(("int", text[i:j], i))
+            try:
+                tokens.append(("int", _digits(text[i:j], "integer literal"), i))
+            except FieldError as exc:  # more digits than int() converts
+                raise ParseError(str(exc), i) from None
             i = j
             continue
         if c.isalpha() or c == "_":
@@ -439,10 +435,10 @@ class _Parser:
         self.i = 0
         self.depth = 0
 
-    def _peek(self) -> tuple[str, str, int]:
+    def _peek(self) -> tuple[str, str | int, int]:
         return self.tokens[self.i]
 
-    def _next(self) -> tuple[str, str, int]:
+    def _next(self) -> tuple[str, str | int, int]:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
@@ -485,18 +481,17 @@ class _Parser:
     def _atom(self) -> NcPoly:
         kind, value, pos = self._next()
         if kind == "int":
-            num = _int_literal(value, pos)
             if self._peek()[0] == "/":
                 self._next()
-                dkind, dvalue, dpos = self._next()
+                dkind, den, dpos = self._next()
                 if dkind != "int":
                     raise ParseError("expected an integer denominator", dpos)
                 try:
-                    c = self.alg.field.from_ratio(num, _int_literal(dvalue, dpos))
+                    c = self.alg.field.from_ratio(value, den)
                 except FieldError as exc:
                     raise ParseError(str(exc), pos) from None
                 return self.alg.scalar(c)
-            return self.alg.scalar(self.alg.field.from_int(num))
+            return self.alg.scalar(self.alg.field.from_int(value))
         if kind == "name":
             # a run of generators g1*g2*...*gk is one word, one monomial
             letters = [self._letter(value, pos)]
@@ -522,15 +517,6 @@ class _Parser:
             return chr(self.alg._gen_index(name))
         except ValueError:
             raise ParseError(f"unknown generator {name!r}", pos) from None
-
-
-def _int_literal(digits: str, pos: int) -> int:
-    """The value of a run of decimal digits; Python refuses to read a run
-    longer than its integer string limit (4,300 digits by default)."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ParseError(f"integer literal of {len(digits)} digits is too long", pos) from None
 
 
 def parse_poly(text: str, generators: Iterable[str], field: Field) -> NcPoly:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .fields import Field, FieldError, _modulus
+from .fields import Field, FieldError, _digits
 from .ncpoly import FreeAlgebra, NcPoly, ParseError, Word
 from .rewrite import LemmaWitness, RewriteRule, RewriteSystem
 
@@ -56,7 +56,7 @@ def _parse_field(args: list[str], err) -> Field:
         return Field.rationals()
     if len(args) == 2 and args[0] == "Fp":
         try:
-            return Field.prime(_modulus(args[1]))
+            return Field.prime(_digits(args[1], "modulus"))
         except FieldError as exc:
             raise err(f"bad prime field: {exc}")
     raise err(f"expected 'field Q' or 'field Fp <p>', got 'field {' '.join(args)}'")
@@ -172,11 +172,13 @@ def bundled_preset_names() -> list[str]:
 
 def load_presentation(path: str) -> Presentation:
     """Load a presentation from the filesystem, falling back to the bundled
-    presets when the argument matches a preset basename (e.g. 'irving.pres'
-    or just 'irving')."""
+    presets only when the argument is a bare name, one that is its own file
+    name (e.g. 'irving.pres' or just 'irving', not './irving')."""
     fs = Path(path)
     if fs.is_file():
         return parse_presentation(fs.read_text(), name=str(fs))
+    if fs.name != path:
+        raise FileNotFoundError(f"no presentation file at {path!r}")
     base = fs.name if fs.name.endswith(".pres") else fs.name + ".pres"
     res = resources.files(__package__) / "presets" / base
     if res.is_file():

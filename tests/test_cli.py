@@ -83,6 +83,12 @@ def test_nf_missing_presentation_exits_2(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_a_missing_path_is_not_the_preset_it_ends_in(capsys, tmp_path):
+    path = str(tmp_path / "irving.pres")
+    code, out, err = run(capsys, "confluence", path)
+    assert (code, out, err) == (2, "", f"error: no presentation file at {path!r}\n")
+
+
 def test_nf_on_non_confluent_rules_flags_the_reduct(capsys):
     code, out, err = run(capsys, "nf", "cohnsasiada", "x")
     assert code == 1 and out == "x\n"
@@ -262,6 +268,8 @@ def test_ci_strict_requires_seed(capsys, monkeypatch):
     assert code == 2 and "CI_STRICT" in err
     code, doc, _ = run_json(capsys, "identity", "irving", "--trials", "5", "--seed", "3")
     assert code == 0 and doc["seed"] == 3
+    code, doc, _ = run_json(capsys, "fuzz-rank", "--n", "3", "--trials", "2", "--seed", "-3")
+    assert code == 0 and doc["seed"] == -3
     # non-randomized commands are unaffected
     code, _, _ = run(capsys, "witness", "irving")
     assert code == 0
@@ -308,6 +316,11 @@ def test_fuzz_rank_over_q_and_zero_trials(capsys):
         (["witness", "irving", "--max-steps", "-1"], "--max-steps: must be at least 0, got -1"),
         (["identity", "irving", "--trials", "many"], "--trials: invalid integer value: 'many'"),
         (["identity", "irving", "--max-deg", "0"], "--max-deg: must be at least 1, got 0"),
+        # int() reads each of these; a count is ASCII digits 0-9, after an optional '-'
+        (["fuzz-rank", "--n", "\u0663"], "--n: invalid integer value: '\u0663'"),
+        (["fuzz-rank", "--trials", "1_0"], "--trials: invalid integer value: '1_0'"),
+        (["nf", "irving", "x", "--max-steps", " +5"], "--max-steps: invalid integer value: ' +5'"),
+        (["fuzz-rank", "--seed", "\u0667"], "--seed: invalid integer value: '\u0667'"),
     ],
 )
 def test_out_of_range_counts_exit_2(capsys, argv, message):

@@ -43,7 +43,9 @@ def test_field_construction_and_parse():
     "bad",
     ["", "q", "R", "Fp", "Fp:", "Fp:abc", "Fp:4", "Fp:1", "Fp:-3",
      # int() alone would read these as F_7 and F_101
-     "Fp:+7", "Fp: 7", "Fp:7\n", "Fp:1_01", "Fp:+1_01"],
+     "Fp:+7", "Fp: 7", "Fp:7\n", "Fp:1_01", "Fp:+1_01",
+     # a seven in Arabic-Indic, fullwidth and mathematical bold digits
+     "Fp:\u0667", "Fp:\uff17", "Fp:\U0001d7d5"],
 )
 def test_field_parse_rejects(bad):
     with pytest.raises(FieldError):

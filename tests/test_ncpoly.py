@@ -111,6 +111,11 @@ def test_parse_error_positions(alg_q):
     with pytest.raises(ParseError) as e:
         alg_q.parse("\u00b2")  # a digit to str.isdigit, but not one int() reads
     assert "unexpected character" in str(e.value) and e.value.pos == 0
+    for text, pos in (("\u0663", 0), ("x*x - \u0663", 6), ("1\uff17", 1)):
+        # Arabic-Indic and fullwidth digits, which int() reads: a literal is 0-9
+        with pytest.raises(ParseError, match="unexpected character") as e:
+            alg_q.parse(text)
+        assert e.value.pos == pos
     with pytest.raises(ParseError) as e:
         alg_q.parse("x + z")
     assert "unknown generator" in str(e.value) and e.value.pos == 4

@@ -52,6 +52,15 @@ def test_load_presentation_bundled_fallback():
         load_presentation("no-such-preset")
 
 
+def test_a_missing_path_is_not_a_preset(tmp_path):
+    # only a bare name falls back to the bundled presets; a path that names
+    # no file is an error, whatever its last part is called
+    for path in (tmp_path / "irving.pres", tmp_path / "irving", "./irving"):
+        with pytest.raises(FileNotFoundError) as err:
+            load_presentation(str(path))
+        assert str(err.value) == f"no presentation file at {str(path)!r}"
+
+
 # -- parsing ---------------------------------------------------------------------------
 
 
@@ -112,6 +121,7 @@ def test_witness_parsing_whitespace_tolerant():
         ("field Fp x\ngens x\n", 1, "bad prime field"),
         ("field Fp 1_01\ngens x\n", 1, "bad prime field: modulus '1_01' is not a decimal integer"),
         ("field Fp +7\ngens x\n", 1, "bad prime field: modulus '+7' is not a decimal integer"),
+        ("field Fp \u0667\ngens x\n", 1, "bad prime field: modulus '\u0667' is not a decimal integer"),
         ("field Q\nfield Q\n", 2, "duplicate 'field'"),
         ("field Q\ngens x\ngens y\n", 3, "duplicate 'gens'"),
         ("field Q\ngens\n", 2, "at least one generator"),
@@ -140,6 +150,12 @@ def test_witness_parsing_whitespace_tolerant():
             "field Q\ngens x y\nrel x*x\nrel y*x*y - \u00b2*x\n",
             4,
             "bad relation: unexpected character '\u00b2' (at position 8)",
+        ),
+        # an Arabic-Indic three: integer text is ASCII digits only
+        (
+            "field Q\ngens x y\nrel x*x - \u0663\n",
+            3,
+            "bad relation: unexpected character '\u0663' (at position 6)",
         ),
         # rewrite-system validation errors name the offending rule's line
         ("field Q\ngens x y\nrule x -> y*x*y\n", 3, "not deglex-decreasing"),

@@ -1,9 +1,15 @@
-"""``ncdiamond.__all__`` names exactly what the package exports, the
-exported value types' operators refuse an operand of another type, and the
-public functions refuse a count that is a bool, not an int or out of range."""
+"""``ncdiamond.__all__`` names exactly what the package exports, every
+exported value type is a dataclass that copies and pickles, the value types'
+operators refuse an operand of another type, the public functions refuse a
+count that is a bool, not an int or out of range, and one helper reads
+integer text."""
 
+import ast
+import copy
+import dataclasses
 import operator
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -20,9 +26,11 @@ from ncdiamond import (
     SeriesMatrix,
     SExtElement,
     TruncSeries,
+    check_confluence,
     complete,
     fuzz_bound_checks,
     load_presentation,
+    normal_form,
     parse_presentation,
     random_assignment,
     random_matrix,
@@ -33,7 +41,8 @@ from ncdiamond import (
     verify_identity_comm3,
 )
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 
 def test_every_exported_name_resolves_once():
@@ -49,6 +58,38 @@ def test_star_import_succeeds():
     code = "from ncdiamond import *"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+
+
+DIGIT_TESTS = ("isdecimal", "isdigit", "isnumeric")
+
+
+def integer_reads(path: Path):
+    """'file:definition:method' for each digit test and each
+    add_argument(..., type=int) in a module, by top-level definition."""
+    for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            int_type = node.func.attr == "add_argument" and any(
+                k.arg == "type" and isinstance(k.value, ast.Name) and k.value.id == "int"
+                for k in node.keywords
+            )
+            if node.func.attr in DIGIT_TESTS or int_type:
+                yield f"{path.name}:{getattr(top, 'name', '<module>')}:{node.func.attr}"
+
+
+def test_one_value_idiom_and_one_integer_reader():
+    # every class the package exports, its exceptions aside, is a dataclass
+    classes = [
+        value for value in map(vars(ncdiamond).get, ncdiamond.__all__)
+        if isinstance(value, type) and value.__module__.startswith("ncdiamond.")
+        and not issubclass(value, Exception)
+    ]
+    assert len(classes) > 20
+    assert [c.__name__ for c in classes if not dataclasses.is_dataclass(c)] == []
+    # integer text is read by fields._digits alone, which tests ASCII digits
+    modules = sorted(SRC.rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    assert [read for path in modules for read in integer_reads(path)] == ["fields.py:_digits:isdigit"]
 
 
 ALG = FreeAlgebra(Field.rationals(), ("x", "y"))
@@ -98,6 +139,30 @@ def test_a_part_of_the_wrong_type_raises_type_error(call, message):
     with pytest.raises(TypeError) as err:
         call()
     assert str(err.value) == message
+
+
+IRVING = load_presentation("irving")
+VALUES = {
+    "NcPoly over Q": lambda: ALG.parse("1/2*x*y - 3"),
+    "NcPoly over F_7": lambda: FreeAlgebra(Field.prime(7), ("x", "y")).parse("3*x*y + 2"),
+    "RewriteSystem": lambda: IRVING.system,
+    "ConfluenceReport": lambda: check_confluence(IRVING.system),
+    "TruncSeries": lambda: TruncSeries(ALG.parse("x + 2*y*x"), 3),
+    "LemmaWitness": lambda: IRVING.witness,
+}
+
+
+@pytest.mark.parametrize("kind", VALUES)
+def test_values_survive_copy_and_pickle(kind):
+    value = VALUES[kind]()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value
+
+
+def test_an_unpickled_system_still_reduces():
+    system = pickle.loads(pickle.dumps(IRVING.system))
+    p = IRVING.alg.parse("y*x*y*y")
+    assert normal_form(p, system) == normal_form(p, IRVING.system) == IRVING.alg.parse("x*y")
 
 
 F101 = Field.prime(101)

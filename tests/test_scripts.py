@@ -113,6 +113,9 @@ def test_script_quiet_when_reader_closes_early():
             "argument --presentation: no presentation file at 'nope' and no bundled preset 'nope.pres'",
         ),
         ("irving_tour.py", ["--max-deg", "0"], "argument --max-deg: must be at least 1, got 0"),
+        ("irving_tour.py", ["--seed", "\u0667"], "argument --seed: invalid integer value: '\u0667'"),
+        ("rank_margin_sweep.py", ["--seed", "1_0"], "argument --seed: invalid integer value: '1_0'"),
+        ("collapse_walkthrough.py", ["--seed", " 5"], "argument --seed: invalid integer value: ' 5'"),
     ],
 )
 def test_script_rejects_out_of_range_counts(script, args, message):
