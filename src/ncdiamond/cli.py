@@ -20,9 +20,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .fields import Field, FieldError, _digits
+from .fields import Field, _digits
 from .ncpoly import FreeAlgebra
-from .presentations import Presentation, PresentationError, load_presentation
+from .presentations import load_presentation
 from .ranklab import ExactMatrix, fuzz_bound_checks, obstruction_probe
 from .rewrite import (
     DEFAULT_STEP_BUDGET,
@@ -514,7 +514,7 @@ def main(argv=None) -> int:
     except StepBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (PresentationError, FieldError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

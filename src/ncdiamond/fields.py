@@ -1,4 +1,5 @@
-"""Exact coefficient fields: the rationals and prime residue fields.
+"""Exact coefficient fields: the rationals and prime residue fields, each
+given by its modulus (None for Q).
 
 Scalars are plain Python values (``fractions.Fraction`` over Q, ``int``
 residues in ``[0, p)`` over F_p) so the rewriting and elimination inner
@@ -52,37 +53,35 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """The rationals (kind ``"Q"``) or a prime field (kind ``"Fp"``, modulus p).
+    """A field given by its modulus: the rationals when ``p`` is None, else
+    the prime field F_p.
 
     Scalars of a rational field are ``Fraction`` values (always in lowest
     terms); scalars of a prime field are ``int`` residues in ``[0, p)``.
     """
 
-    kind: str
     p: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind == "Q":
-            if self.p is not None:
-                raise FieldError("the rationals carry no modulus")
-        elif self.kind == "Fp":
-            p = self.p
+        p = self.p
+        if p is not None:
             if not isinstance(p, int) or isinstance(p, bool) or not 2 <= p < (1 << 63):
                 raise FieldError(f"modulus must be an integer in [2, 2^63), got {p!r}")
             if not is_prime(p):
                 raise FieldError(f"modulus {p} is not prime")
-        else:
-            raise FieldError(f"unknown field kind {self.kind!r}")
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def rationals() -> "Field":
-        return Field("Q")
+        return Field()
 
     @staticmethod
     def prime(p: int) -> "Field":
-        return Field("Fp", p)
+        """F_p; a modulus of None is refused here, not read as Q."""
+        if p is None:
+            raise FieldError("modulus must be an integer in [2, 2^63), got None")
+        return Field(p)
 
     @staticmethod
     def parse(text: str) -> "Field":
@@ -94,24 +93,24 @@ class Field:
         raise FieldError(f"bad field spec {text!r} (expected 'Q' or 'Fp:<prime>')")
 
     def __str__(self) -> str:
-        return "Q" if self.kind == "Q" else f"Fp:{self.p}"
+        return "Q" if self.p is None else f"Fp:{self.p}"
 
     # -- scalar construction -------------------------------------------
 
     def zero(self) -> Scalar:
-        return Fraction(0) if self.kind == "Q" else 0
+        return Fraction(0) if self.p is None else 0
 
     def one(self) -> Scalar:
-        return Fraction(1) if self.kind == "Q" else 1
+        return Fraction(1) if self.p is None else 1
 
     def from_int(self, k: int) -> Scalar:
-        return Fraction(k) if self.kind == "Q" else k % self.p
+        return Fraction(k) if self.p is None else k % self.p
 
     def from_ratio(self, num: int, den: int) -> Scalar:
         """The scalar num/den; over F_p the denominator must be invertible."""
         if den == 0:
             raise FieldError("division by zero in scalar literal")
-        if self.kind == "Q":
+        if self.p is None:
             return Fraction(num, den)
         d = den % self.p
         if d == 0:
@@ -121,7 +120,7 @@ class Field:
     def normalize(self, value: Scalar) -> Scalar:
         """Coerce ints (and, over Q, Fractions) into canonical scalar form.
         A Fraction is always in lowest terms, so over Q it is returned as is."""
-        if self.kind == "Q":
+        if self.p is None:
             if isinstance(value, Fraction):
                 return value
             if isinstance(value, int) and not isinstance(value, bool):
@@ -158,10 +157,6 @@ class Field:
         return self.mul(a, self.inv(b))
 
     # -- rendering and sampling -------------------------------------------
-
-    def scalar_str(self, a: Scalar) -> str:
-        """Canonical text form: "3", "-3/4" over Q; the residue over F_p."""
-        return str(a)
 
     def random_scalar(self, rng: random.Random) -> Scalar:
         """Uniform residue over F_p; over Q a small fraction with numerator

@@ -21,8 +21,8 @@ once at the end.  Truncated series, their matrices, the quasi-inverse
 and Neumann sums, and the triple-commutator chain all run the same pair
 loop.
 
-Polynomials, truncated series, extension elements and series matrices
-take a - b, -a and is_zero from one private base, ``_Linear``.
+Polynomials, truncated series, extension elements, series matrices and
+exact matrices take a - b, -a and is_zero from one private base, ``_Linear``.
 """
 
 from __future__ import annotations
@@ -139,7 +139,8 @@ class FreeAlgebra:
 
 class _Linear:
     """a - b = a + b.scale(-1), -a = a.scale(-1) and a.is_zero() = not a, for
-    types with +, scale and __bool__; empty slots keep NcPoly dict-free."""
+    types with +, scale and __bool__, ``ranklab.ExactMatrix`` among them;
+    empty slots keep NcPoly and ExactMatrix dict-free."""
 
     __slots__ = ()
 

@@ -31,18 +31,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as attribute, fields
 from fractions import Fraction
-from operator import add, lshift, mul, sub
+from operator import add, lshift, mul
 from typing import Mapping, Sequence
 
 from .fields import Field, FieldError, Scalar, _check_count, _cleared
-from .ncpoly import NcPoly
+from .ncpoly import NcPoly, _Linear
 from .rewrite import LemmaWitness, RewriteSystem, verify_lemma_witness
 from .seeding import rng_for
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
-class ExactMatrix:
-    """An immutable dense rows x cols matrix with exact entries over a fixed field."""
+class ExactMatrix(_Linear):
+    """An immutable dense rows x cols matrix with exact entries over a fixed
+    field.  A - B, -A and is_zero come from ``_Linear``; a zero matrix,
+    including one with no entries, is falsy."""
 
     field: Field
     rows: int
@@ -115,22 +117,16 @@ class ExactMatrix:
             rows = (tuple(a % p for a in row) for row in rows)
         return ExactMatrix._raw(self.field, tuple(map(tuple, rows)), self.cols)
 
-    def _entrywise(self, op, other: "ExactMatrix") -> "ExactMatrix":
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._check(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("matrix sizes differ")
-        return self._reduced(map(op, ra, rb) for ra, rb in zip(self.entries, other.entries))
+        return self._reduced(map(add, ra, rb) for ra, rb in zip(self.entries, other.entries))
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._entrywise(add, other)
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self._entrywise(sub, other)
-
-    def __neg__(self) -> "ExactMatrix":
-        return self.scale(-1)
+    def __bool__(self) -> bool:
+        return any(map(any, self.entries))
 
     def scale(self, c: Scalar) -> "ExactMatrix":
         c = self.field.normalize(c)

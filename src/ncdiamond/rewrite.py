@@ -517,7 +517,7 @@ def complete(sys: RewriteSystem, max_new_rules: int = 64) -> CompletionResult:
         if w == EMPTY_WORD:
             raise QuotientCollapseError(
                 f"critical pair at {cur.alg.word_str(amb.word)} normalizes "
-                f"to the nonzero scalar {cur.alg.field.scalar_str(c)}: the quotient "
+                f"to the nonzero scalar {c}: the quotient "
                 "collapses to the zero ring"
             )
         if len(added) >= max_new_rules or len(w) > _MAX_LHS_DEGREE:

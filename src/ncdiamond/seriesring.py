@@ -244,37 +244,26 @@ def collapse_demo(u: Sequence[SExtElement], v: Sequence[SExtElement]) -> Collaps
         f = f + (ui.s0 * y).scale(alpha)
     g = quasi_inverse(f)
 
-    fxz = SExtElement.from_ring(f) * xz
-    step1 = CollapseStep(
-        "collapse the middle z: sum u_i*(y*x*z)*v_i = f*(x*z) with f = sum alpha_i*u_i^0*y",
-        str(total),
-        str(fxz),
-        total == fxz,
-    )
-    gf = g * f
-    step2 = CollapseStep(
-        "quasi-inverse identity: g*f = f + g",
-        str(gf),
-        str(f + g),
-        gf == f + g,
-    )
-    lhs3 = SExtElement.from_ring(gf) * xz
-    rhs3 = SExtElement.from_ring(f + g) * xz
-    step3 = CollapseStep(
-        "apply it to x*z: (g*f)*(x*z) = (f + g)*(x*z)",
-        str(lhs3),
-        str(rhs3),
-        lhs3 == rhs3,
-    )
-    computational = step1.verified and step2.verified and step3.verified
-    step4 = CollapseStep(
+    gf, f_plus_g = g * f, f + g
+    steps = [
+        CollapseStep(label, str(lhs), str(rhs), lhs == rhs)
+        for label, lhs, rhs in (
+            ("collapse the middle z: sum u_i*(y*x*z)*v_i = f*(x*z) with f = sum alpha_i*u_i^0*y",
+             total, SExtElement.from_ring(f) * xz),
+            ("quasi-inverse identity: g*f = f + g", gf, f_plus_g),
+            ("apply it to x*z: (g*f)*(x*z) = (f + g)*(x*z)",
+             SExtElement.from_ring(gf) * xz, SExtElement.from_ring(f_plus_g) * xz),
+        )
+    ]
+    computational = all(step.verified for step in steps)
+    steps.append(CollapseStep(
         "conclusion: if x*z = f*(x*z) then g*(x*z) = (g*f)*(x*z) = f*(x*z) + g*(x*z), "
         "so f*(x*z) = 0 and x*z = f*(x*z) = 0",
         "x*z",
         "0",
         computational,
-    )
-    return CollapseReport(coeffs, f, g, (step1, step2, step3, step4), computational)
+    ))
+    return CollapseReport(coeffs, f, g, tuple(steps), computational)
 
 
 def builtin_collapse_instance(

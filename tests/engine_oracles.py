@@ -209,7 +209,7 @@ def oracle_complete(
         if w == EMPTY_WORD:
             raise QuotientCollapseError(
                 f"critical pair at {cur.alg.word_str(amb.word)} normalizes "
-                f"to the nonzero scalar {cur.alg.field.scalar_str(c)}: the quotient "
+                f"to the nonzero scalar {c}: the quotient "
                 "collapses to the zero ring"
             )
         if len(added) >= max_new_rules or len(w) > max_degree:

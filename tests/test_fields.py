@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -30,10 +31,12 @@ def test_is_prime_larger_samples():
 
 
 def test_field_construction_and_parse():
+    # a field is its modulus, None for Q
+    assert [f.name for f in dataclasses.fields(Field)] == ["p"]
     q = Field.rationals()
-    assert q.kind == "Q" and q.p is None and str(q) == "Q"
+    assert q.p is None and str(q) == "Q"
     f7 = Field.prime(7)
-    assert f7.kind == "Fp" and f7.p == 7 and str(f7) == "Fp:7"
+    assert f7.p == 7 and str(f7) == "Fp:7"
     assert Field.parse("Q") == q
     assert Field.parse("Fp:7") == f7
     assert Field.parse("Fp:2").p == 2
@@ -58,16 +61,15 @@ def test_field_parse_rejects_a_modulus_past_the_digit_limit():
 
 
 def test_field_validation():
+    # the one field is the modulus: a prime in [2, 2^63) (1 << 63 does not
+    # fit in 63 bits), or None for Q
+    for bad in (6, 1, True, 1 << 63, "weird", "Q"):
+        with pytest.raises(FieldError):
+            Field(bad)
     with pytest.raises(FieldError):
-        Field("Fp", 6)
-    with pytest.raises(FieldError):
-        Field("Fp", None)
-    with pytest.raises(FieldError):
-        Field("Fp", 1 << 63)  # modulus must fit in 63 bits
-    with pytest.raises(FieldError):
-        Field("Q", 5)
-    with pytest.raises(FieldError):
-        Field("weird")
+        Field.prime(None)
+    assert Field() == Field(None) == Field.rationals()
+    assert Field(7) == Field.prime(7)
     # largest prime below 2^63 is fine
     Field.prime((1 << 63) - 25)
 

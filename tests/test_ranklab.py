@@ -330,14 +330,21 @@ def test_linear_types_share_one_sub_neg_and_is_zero():
     # a - b, -a and is_zero are stated once, in the ncpoly base, so no copy
     # can drift from it; the traced kernels stay in each class's own
     # __dict__, where the tracer wraps them
-    classes = {cls.__name__: cls for cls in (NcPoly, TruncSeries, SExtElement, SeriesMatrix)}
+    classes = {
+        cls.__name__: cls
+        for cls in (NcPoly, TruncSeries, SExtElement, SeriesMatrix, ExactMatrix)
+    }
     for cls in classes.values():
         assert not {"__sub__", "__neg__", "is_zero"} & set(vars(cls)), cls.__name__
     traced = ("NcPoly.__init__", "NcPoly.__add__", "NcPoly.__mul__",
-              "TruncSeries.__mul__", "SeriesMatrix.__matmul__")
+              "TruncSeries.__mul__", "SeriesMatrix.__matmul__",
+              "ExactMatrix.__matmul__", "ExactMatrix.rank")
     for name in traced:
         cls, meth = name.split(".")
         assert callable(vars(classes[cls]).get(meth)), name
+    for f in (Q, F7):
+        assert not ExactMatrix.zeros(f, 2, 2) and not ExactMatrix.zeros(f, 0, 3)
+        assert ExactMatrix.identity(f, 2) and not ExactMatrix.identity(f, 2).is_zero()
 
 
 # -- exact rank -----------------------------------------------------------------------

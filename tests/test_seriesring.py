@@ -14,6 +14,7 @@ from ncdiamond import (
     collapse_demo,
     neumann_inverse,
     quasi_inverse,
+    random_matrix,
     random_radical_matrix,
     random_s_ext,
     random_series,
@@ -447,8 +448,9 @@ def test_a_zero_series_matrix_is_falsy_and_negates(alg):
 
 @pytest.mark.parametrize("f", [Field.rationals(), Field.prime(7)], ids=str)
 def test_sub_neg_and_is_zero_follow_from_add_scale_and_bool(f):
-    # polynomials, series, extension elements and series matrices share one
-    # a - b, -a and is_zero, stated through each type's own +, scale and bool
+    # polynomials, series, extension elements, series matrices and exact
+    # matrices share one a - b, -a and is_zero, stated through each type's
+    # own +, scale and bool
     alg, cap = FreeAlgebra(f, ("x", "y")), 4
     for t in range(8):
         rng = rng_for(61, "linear", str(f), t)
@@ -457,6 +459,7 @@ def test_sub_neg_and_is_zero_follow_from_add_scale_and_bool(f):
             (random_series(alg, cap, rng), random_series(alg, cap, rng)),
             (random_s_ext(alg, cap, rng), random_s_ext(alg, cap, rng)),
             (random_radical_matrix(alg, 2, cap, rng), random_radical_matrix(alg, 2, cap, rng)),
+            (random_matrix(f, 3, seed=2 * t), random_matrix(f, 3, seed=2 * t + 1)),
         ):
             assert a - b == a + b.scale(-1)
             assert -(-a) == a
